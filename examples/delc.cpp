@@ -175,6 +175,7 @@ void print_usage(std::FILE* out) {
       "             DELIRIUM_RETRIES, DELIRIUM_TRACE, DELIRIUM_TRACE_CAPACITY,\n"
       "             DELIRIUM_ACTIVATION_POOL, DELIRIUM_GRAPH_FACTS,\n"
       "             DELIRIUM_FACTS_FOLD, DELIRIUM_FACTS_DEADPARAM,\n"
+      "             DELIRIUM_FACTS_FUSE, DELIRIUM_FACTS_TUPLES,\n"
       "             DELIRIUM_FACTS_STRAND, DELIRIUM_FACTS_SOLE,\n"
       "             DELIRIUM_SCHED_HINTS, DELIRIUM_COST_HINTS, DELIRIUM_AFFINITY,\n"
       "             DELIRIUM_TOPOLOGY, DELIRIUM_LOCALITY (see docs/CLI.md)\n");

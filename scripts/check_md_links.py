@@ -17,6 +17,11 @@ equal the set documented across README.md and docs/ (tools_test checks
 the same contract against the built binary; this copy keeps the
 docs_links ctest meaningful without a build).
 
+The same contract covers environment knobs: the DELIRIUM_* names the
+code reads (every string literal that is exactly a knob name, in src/
+and examples/delc.cpp) must equal the names print_usage() lists and the
+rows of docs/CLI.md's environment-variable table.
+
 Usage: check_md_links.py [repo_root]
 """
 
@@ -27,6 +32,9 @@ from pathlib import Path
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 FLAG_RE = re.compile(r"--[a-z][a-z-]*")
+KNOB_RE = re.compile(r"DELIRIUM_[A-Z0-9_]+")
+KNOB_LITERAL_RE = re.compile(r'"(DELIRIUM_[A-Z0-9_]+)"')
+KNOB_ROW_RE = re.compile(r"^\| `(DELIRIUM_[A-Z0-9_]+)` \|", re.MULTILINE)
 
 
 def checked_files(root: Path):
@@ -35,11 +43,13 @@ def checked_files(root: Path):
 
 
 def flag_contract_errors(root: Path):
-    """delc flag drift: print_usage() in examples/delc.cpp vs docs/CLI.md.
+    """delc flag and knob drift: print_usage() vs docs/CLI.md vs the code.
 
     docs/CLI.md is the canonical flag reference (other docs link to it),
     so the contract is set equality between the flags it mentions
     anywhere (tables and examples) and the flags print_usage() names.
+    For environment knobs it is set equality between the knobs the code
+    reads, the knobs print_usage() lists, and docs/CLI.md's knob table.
     """
     delc = root / "examples" / "delc.cpp"
     cli_md = root / "docs" / "CLI.md"
@@ -50,13 +60,29 @@ def flag_contract_errors(root: Path):
     end = source.find("int usage()", start)
     if start < 0 or end < 0:
         return ["flag contract: cannot locate print_usage() in examples/delc.cpp"]
-    usage_flags = set(FLAG_RE.findall(source[start:end]))
-    doc_flags = set(FLAG_RE.findall(cli_md.read_text(encoding="utf-8")))
+    usage = source[start:end]
+    cli_text = cli_md.read_text(encoding="utf-8")
+    usage_flags = set(FLAG_RE.findall(usage))
+    doc_flags = set(FLAG_RE.findall(cli_text))
     errors = []
     for flag in sorted(doc_flags - usage_flags):
         errors.append(f"docs/CLI.md: {flag} is documented but absent from delc print_usage()")
     for flag in sorted(usage_flags - doc_flags):
         errors.append(f"examples/delc.cpp: {flag} is in print_usage() but undocumented in docs/CLI.md")
+
+    sources = [delc] + sorted(p for p in (root / "src").rglob("*") if p.suffix in (".h", ".cpp"))
+    read_knobs = set()
+    for path in sources:
+        read_knobs.update(KNOB_LITERAL_RE.findall(path.read_text(encoding="utf-8")))
+    views = {
+        "print_usage() in examples/delc.cpp": set(KNOB_RE.findall(usage)),
+        "the docs/CLI.md environment table": set(KNOB_ROW_RE.findall(cli_text)),
+    }
+    for view, knobs in views.items():
+        for knob in sorted(read_knobs - knobs):
+            errors.append(f"{knob} is read by the code but missing from {view}")
+        for knob in sorted(knobs - read_knobs):
+            errors.append(f"{knob} is listed in {view} but read nowhere in src/ or delc")
     return errors
 
 
@@ -93,7 +119,7 @@ def main() -> int:
         print("\n".join(errors))
         print(f"{len(errors)} markdown link problem(s)")
         return 1
-    print("all markdown links resolve; delc flag contract holds")
+    print("all markdown links resolve; delc flag and knob contracts hold")
     return 0
 
 

@@ -36,7 +36,7 @@
 //   void charge_backoff(ns, cost);        // retry backoff
 //   void busy_begin(worker, def) / busy_end(worker);   // watchdog busy dump
 //   Ticks op_clock_begin();               // start the operator cost clock
-//   void op_note_success(t0, def, act, worker, virtual_start, arrival, cost);
+//   void op_note_success(t0, def, op_index, act, worker, virtual_start, arrival, cost);
 //   uint64_t op_arrival(def, op_index, has_plan);  // per-op arrival counter
 //   int last_affinity_worker(op_index);   // operator-affinity memory
 //   void note_affinity(op_index, worker);
@@ -918,7 +918,8 @@ class ExecutorCore {
             machine().busy_end(worker);
             // Cost, timings, and CoW stats come from the successful
             // attempt only; failed attempts contribute their backoff.
-            machine().op_note_success(t0, def, act, worker, virtual_start, arrival, cost);
+            machine().op_note_success(t0, def, n.op_index, act, worker, virtual_start,
+                                      arrival, cost);
             counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
             counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
             if (fd.action == FaultAction::kCorrupt) {
@@ -1031,7 +1032,8 @@ class ExecutorCore {
               OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, {});
               result = def.fn(ctx);
               machine().busy_end(worker);
-              machine().op_note_success(t0, def, act, worker, virtual_start, arrival, cost);
+              machine().op_note_success(t0, def, member.op_index, act, worker, virtual_start,
+                                        arrival, cost);
               counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
               counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
               if (fd.action == FaultAction::kCorrupt) result = Value::tuple({});

@@ -328,9 +328,9 @@ Ticks Runtime::op_clock_begin() {
   return config_.enable_node_timing ? now_ticks() : 0;
 }
 
-void Runtime::op_note_success(Ticks t0, const OperatorDef& def, const Activation& act,
-                              int worker, Ticks /*virtual_start*/, uint64_t /*arrival*/,
-                              Ticks& /*cost*/) {
+void Runtime::op_note_success(Ticks t0, const OperatorDef& def, int /*op_index*/,
+                              const Activation& act, int worker, Ticks /*virtual_start*/,
+                              uint64_t /*arrival*/, Ticks& /*cost*/) {
   if (!config_.enable_node_timing) return;
   const Ticks dt = now_ticks() - t0;
   counters_.operator_ticks.fetch_add(dt, std::memory_order_relaxed);

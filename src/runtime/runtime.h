@@ -213,8 +213,8 @@ class Runtime : public ExecutorCore<Runtime> {
   void busy_begin(int worker, const OperatorDef& def);
   void busy_end(int worker);
   Ticks op_clock_begin();
-  void op_note_success(Ticks t0, const OperatorDef& def, const Activation& act, int worker,
-                       Ticks virtual_start, uint64_t arrival, Ticks& cost);
+  void op_note_success(Ticks t0, const OperatorDef& def, int op_index, const Activation& act,
+                       int worker, Ticks virtual_start, uint64_t arrival, Ticks& cost);
   uint64_t op_arrival(const OperatorDef& def, int op_index, bool has_plan);
   int last_affinity_worker(int op_index);
   void note_affinity(int op_index, int worker);

@@ -11,7 +11,245 @@
 namespace delirium {
 
 namespace {
-constexpr Ticks kNever = std::numeric_limits<Ticks>::max();
+
+/// The simulator's ready queue (docs/RUNTIME.md, "The virtual-time
+/// executor"). It picks exactly what a scan of every queued item under
+/// the pick rule would, at a cost independent of queue length:
+///
+///   * Items whose ready time lies past the watermark (the latest pick
+///     time) wait in a min-heap keyed by ready time.
+///   * Released items sit, per queue level, in seq-ordered buckets: one
+///     per processor for items bound to it, one for unbound items, and
+///     one per domain (a single one under the three-class ladder) for
+///     preferences outside 0..P-1, which rank as "bound elsewhere".
+///   * A pick takes the first level holding a released item and compares
+///     only the heads of its buckets, by (affinity class, seq).
+///
+/// Releasing behind the watermark is exact because the pick time never
+/// decreases. It is max(earliest-free processor's time, earliest ready
+/// time): a processor's free time only moves forward, and a node starting
+/// at t enqueues its successors at or after t (virtual costs are never
+/// negative), so whenever the processor term lies below the watermark no
+/// queued item is ready before it. An item released once stays eligible.
+template <class Activation>
+class ReadyQueue {
+ public:
+  struct Item {
+    std::shared_ptr<Activation> act;
+    uint32_t node = 0;
+    Ticks ready = 0;
+    uint64_t seq = 0;  // enqueue order: FIFO within a bucket
+  };
+
+  /// A picked item, left in place until take(): the caller may still
+  /// cancel its instance, and the purge sweep must then see it queued.
+  struct Pick {
+    uint32_t bucket = 0;
+    uint32_t slot = 0;
+  };
+
+  /// `domain_aware` selects the four-class ladder (bound here, bound in
+  /// this domain, unbound, bound elsewhere) over the three-class one.
+  void configure(int num_procs, const MemoryTopology& topology, bool domain_aware) {
+    procs_ = num_procs;
+    domain_aware_ = domain_aware;
+    domains_ = domain_aware ? topology.num_domains : 1;
+    per_level_ = static_cast<uint32_t>(procs_ + 1 + domains_);
+    proc_domain_.resize(static_cast<size_t>(procs_));
+    for (int p = 0; p < procs_; ++p) {
+      proc_domain_[static_cast<size_t>(p)] = domain_aware ? topology.domain_of(p) : 0;
+    }
+  }
+
+  bool empty() const { return live_ == 0; }
+
+  /// Queue a node at queue `level`, bound to processor `preferred` (or
+  /// unbound when negative).
+  void push(std::shared_ptr<Activation> act, uint32_t node, Ticks ready, int level,
+            int preferred) {
+    uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    Item& item = slots_[slot];
+    item.act = std::move(act);
+    item.node = node;
+    item.ready = ready;
+    item.seq = next_seq_++;
+    const uint32_t bucket = bucket_of(level, preferred);
+    ++live_;
+    if (ready <= watermark_) {
+      release(bucket, slot);
+    } else {
+      waiting_.push_back(Waiting{ready, item.seq, bucket, slot});
+      std::push_heap(waiting_.begin(), waiting_.end(), later_ready);
+    }
+  }
+
+  /// Move the watermark to the next pick time for a processor free at
+  /// `avail` and release every item ready by then. Queue must be
+  /// non-empty. With released items present the earliest ready time is
+  /// at most the watermark, and the monotone pick time makes it exactly
+  /// max(avail, watermark).
+  Ticks advance(Ticks avail) {
+    const Ticks t = std::max(avail, released_ > 0 ? watermark_ : waiting_.front().ready);
+    while (!waiting_.empty() && waiting_.front().ready <= t) {
+      std::pop_heap(waiting_.begin(), waiting_.end(), later_ready);
+      const Waiting w = waiting_.back();
+      waiting_.pop_back();
+      release(w.bucket, w.slot);
+    }
+    watermark_ = t;
+    return t;
+  }
+
+  /// The item processor `p` takes at the watermark: the smallest
+  /// (level, affinity class, seq) among released items, found by
+  /// comparing the heads of the first non-empty level's buckets.
+  /// advance() must have run since the last push.
+  Pick pick(int p) const {
+    for (size_t level = 0; level < level_released_.size(); ++level) {
+      if (level_released_[level] == 0) continue;
+      const uint32_t base = static_cast<uint32_t>(level) * per_level_;
+      Pick best{0, 0};
+      int best_class = std::numeric_limits<int>::max();
+      uint64_t best_seq = 0;
+      for (uint32_t offset = 0; offset < per_level_; ++offset) {
+        const std::vector<Head>& bucket = buckets_[base + offset];
+        if (bucket.empty()) continue;
+        const int cls = affinity_class(offset, p);
+        if (cls < best_class || (cls == best_class && bucket.front().seq < best_seq)) {
+          best = Pick{base + offset, bucket.front().slot};
+          best_class = cls;
+          best_seq = bucket.front().seq;
+        }
+      }
+      return best;
+    }
+    return Pick{0, 0};  // unreachable: advance() released something
+  }
+
+  const Item& at(const Pick& pick) const { return slots_[pick.slot]; }
+
+  Item take(const Pick& pick) {
+    std::vector<Head>& bucket = buckets_[pick.bucket];
+    std::pop_heap(bucket.begin(), bucket.end(), later_seq);
+    bucket.pop_back();
+    --level_released_[pick.bucket / per_level_];
+    --released_;
+    --live_;
+    free_.push_back(pick.slot);
+    return std::move(slots_[pick.slot]);
+  }
+
+  /// Remove every queued item `doomed` selects, released or not, handing
+  /// each to `on_purge` in seq (= enqueue) order.
+  template <class Doomed, class OnPurge>
+  void purge(Doomed doomed, OnPurge on_purge) {
+    std::vector<uint32_t> victims;
+    auto sweep = [&](auto& heap, auto order) {
+      const auto keep_end = std::partition(heap.begin(), heap.end(), [&](const auto& e) {
+        return !doomed(slots_[e.slot]);
+      });
+      for (auto it = keep_end; it != heap.end(); ++it) victims.push_back(it->slot);
+      heap.erase(keep_end, heap.end());
+      std::make_heap(heap.begin(), heap.end(), order);
+    };
+    sweep(waiting_, later_ready);
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      const size_t before = victims.size();
+      sweep(buckets_[b], later_seq);
+      const size_t gone = victims.size() - before;
+      level_released_[b / per_level_] -= gone;
+      released_ -= gone;
+    }
+    std::sort(victims.begin(), victims.end(),
+              [&](uint32_t a, uint32_t b) { return slots_[a].seq < slots_[b].seq; });
+    for (uint32_t slot : victims) {
+      on_purge(slots_[slot]);
+      slots_[slot].act.reset();
+      free_.push_back(slot);
+    }
+    live_ -= victims.size();
+  }
+
+ private:
+  struct Head {  // a released item in its bucket
+    uint64_t seq;
+    uint32_t slot;
+  };
+  struct Waiting {  // an item not yet released
+    Ticks ready;
+    uint64_t seq;
+    uint32_t bucket;
+    uint32_t slot;
+  };
+  // Heap orders (std heaps are max-heaps, so "later" sinks).
+  static bool later_seq(const Head& a, const Head& b) { return a.seq > b.seq; }
+  static bool later_ready(const Waiting& a, const Waiting& b) {
+    return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
+  }
+
+  uint32_t bucket_of(int level, int preferred) const {
+    uint32_t offset;
+    if (preferred < 0) {
+      offset = static_cast<uint32_t>(procs_);
+    } else if (preferred < procs_) {
+      offset = static_cast<uint32_t>(preferred);
+    } else {
+      // Preferences naming no simulated processor (a block homed by a
+      // larger machine): their domain decides the class.
+      const int domain = domain_aware_ ? preferred % domains_ : 0;
+      offset = static_cast<uint32_t>(procs_ + 1 + domain);
+    }
+    return static_cast<uint32_t>(level) * per_level_ + offset;
+  }
+
+  void release(uint32_t bucket, uint32_t slot) {
+    if (buckets_.size() <= bucket) {
+      const size_t levels = bucket / per_level_ + 1;
+      buckets_.resize(levels * per_level_);
+      level_released_.resize(levels, 0);
+    }
+    buckets_[bucket].push_back(Head{slots_[slot].seq, slot});
+    std::push_heap(buckets_[bucket].begin(), buckets_[bucket].end(), later_seq);
+    ++level_released_[bucket / per_level_];
+    ++released_;
+  }
+
+  /// Rank of a bucket's items for processor `p`: 0 bound to p, then (on
+  /// the four-class ladder) 1 bound in p's domain, then unbound, then
+  /// bound elsewhere.
+  int affinity_class(uint32_t offset, int p) const {
+    const int off = static_cast<int>(offset);
+    if (off == p) return 0;
+    if (off == procs_) return domain_aware_ ? 2 : 1;  // unbound
+    if (!domain_aware_) return 2;
+    const int domain = off < procs_ ? proc_domain_[offset] : off - procs_ - 1;
+    return domain == proc_domain_[static_cast<size_t>(p)] ? 1 : 3;
+  }
+
+  int procs_ = 1;
+  int domains_ = 1;
+  bool domain_aware_ = false;
+  uint32_t per_level_ = 3;
+  std::vector<int> proc_domain_;
+
+  std::vector<Item> slots_;  // slab; queue structures hold slot indices
+  std::vector<uint32_t> free_;
+  std::vector<Waiting> waiting_;         // min-heap by (ready, seq)
+  std::vector<std::vector<Head>> buckets_;  // [level * per_level_ + offset], min-heap by seq
+  std::vector<size_t> level_released_;   // released items per level
+  size_t released_ = 0;
+  size_t live_ = 0;
+  uint64_t next_seq_ = 0;
+  Ticks watermark_ = std::numeric_limits<Ticks>::min();
+};
+
 }  // namespace
 
 /// The virtual MachineModel: a discrete-event P-processor simulator
@@ -19,15 +257,6 @@ constexpr Ticks kNever = std::numeric_limits<Ticks>::max();
 struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   // Re-exposed for SimRuntime::run_function's faulting-run snapshot.
   using ExecutorCore<SimRuntime::Impl>::snapshot_core_stats;
-
-  struct ReadyItem {
-    std::shared_ptr<Activation> act;
-    uint32_t node = 0;
-    Ticks ready = 0;
-    uint64_t seq = 0;      // FIFO within a priority level
-    int priority = 0;
-    int preferred = -1;    // affinity target processor
-  };
 
   /// Per-instance state, pointed to by Activation::run. A plain run is a
   /// batch of one (id 0, no budgets), which keeps the single-instance
@@ -66,14 +295,14 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   // subobject, which outlives every member.)
   std::unordered_set<Activation*> live_acts;
 
-  std::vector<ReadyItem> ready;  // unsorted; selection scans (small queues)
+  using Queue = ReadyQueue<Activation>;
+  Queue ready;  // indexed by level, affinity class and ready time
   std::vector<Ticks> proc_avail;
   std::vector<Ticks> proc_busy;
-  uint64_t next_seq = 0;
   std::vector<NodeTiming> timings;
 
   /// Some instance was cancelled with work possibly queued: the drive
-  /// loop sweeps the ready queue (in queue order, so purge traces are
+  /// loop sweeps the ready queue (in enqueue order, so purge traces are
   /// deterministic) before the next selection.
   bool purge_pending = false;
   bool watchdog_fired = false;  // the *global* virtual watchdog
@@ -89,8 +318,19 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   bool tracing = false;
 
   std::vector<int> op_last_proc;  // operator-affinity memory
-  std::unordered_map<std::string, size_t> op_occurrence;  // for cost replay
   std::vector<uint32_t> domain_rr;  // per-domain RR cursor (deterministic)
+
+  /// Per-operator cost state, indexed by registry index and resolved from
+  /// the config's name-keyed tables on an operator's first invocation in
+  /// the run, so the per-node path never hashes an operator name.
+  struct OpState {
+    bool resolved = false;
+    uint64_t occurrences = 0;  // invocation count: cost replay, nth= injection
+    Ticks fixed_cost = 0;      // with config.fixed_costs
+    const std::vector<Ticks>* replay = nullptr;  // config.replay_costs row
+    std::vector<Ticks>* record = nullptr;        // config.record_costs row
+  };
+  std::vector<OpState> ops;
 
   Impl(const OperatorRegistry& r, const SimConfig& c)
       : ExecutorCore<SimRuntime::Impl>(r), config(c) {
@@ -100,6 +340,31 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     if (topology().num_domains > 1) {
       domain_rr.assign(static_cast<size_t>(topology().num_domains), 0);
     }
+    // Under a multi-domain topology with locality_scheduling the class
+    // ladder grows a rung: bound-here, bound-same-domain, unbound,
+    // bound-elsewhere — the virtual twin of Runtime's domain-aware steal
+    // scan. The three-class ladder is kept otherwise, so default, UMA,
+    // and legacy-flat schedules are unchanged.
+    ready.configure(config.num_procs, topology(),
+                    config.locality_scheduling && topology().num_domains > 1);
+  }
+
+  OpState& op_state(const OperatorDef& def, int op_index) {
+    const size_t i = static_cast<size_t>(op_index);
+    if (i >= ops.size()) ops.resize(std::max(registry_.size(), i + 1));
+    OpState& s = ops[i];
+    if (!s.resolved) {
+      s.resolved = true;
+      if (config.fixed_costs != nullptr) {
+        const auto it = config.fixed_costs->find(def.info.name);
+        s.fixed_cost = it != config.fixed_costs->end() ? it->second
+                                                        : config.fixed_cost_default_ns;
+      } else if (config.replay_costs != nullptr) {
+        const auto it = config.replay_costs->per_op.find(def.info.name);
+        if (it != config.replay_costs->per_op.end()) s.replay = &it->second;
+      }
+    }
+    return s;
   }
 
   void trace_event(Ticks ts, int proc, TraceEventKind kind, int32_t op = -1,
@@ -162,14 +427,8 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     // one virtual ready queue, so every enqueue is "local" and the
     // steal/park/wakeup counters stay zero.
     counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
-    ReadyItem item;
-    item.act = act;
-    item.node = node;
-    item.ready = when;
-    item.seq = next_seq++;
-    item.priority = queue_level(n);
-    item.preferred = affinity_preference(*act, n);
-    ready.push_back(std::move(item));
+    const int level = queue_level(n);
+    ready.push(act, node, when, level, affinity_preference(*act, n));
   }
 
   void deliver_final(void* run, Value v, Ticks when) {
@@ -191,13 +450,15 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   // Virtual NUMA pulls, injected stalls, and retry backoff are all
   // charged to the virtual clock instead of spun/slept — deterministic
   // and exact: the simulator charges precisely the topology's per-KiB +
-  // migration penalty, whatever the domain pair.
+  // migration penalty, whatever the domain pair. Virtual time never runs
+  // backwards (the ready queue's watermark relies on it), so a negative
+  // charge counts as zero.
   void charge_remote(int /*domain_from*/, int /*domain_to*/, int64_t /*bytes*/,
                      Ticks penalty_ns, Ticks& cost) {
-    cost += penalty_ns;
+    cost += std::max<Ticks>(penalty_ns, 0);
   }
-  void charge_stall(Ticks ns, Ticks& cost) { cost += ns; }
-  void charge_backoff(Ticks ns, Ticks& cost) { cost += ns; }
+  void charge_stall(Ticks ns, Ticks& cost) { cost += std::max<Ticks>(ns, 0); }
+  void charge_backoff(Ticks ns, Ticks& cost) { cost += std::max<Ticks>(ns, 0); }
 
   int pick_worker_in_domain(int domain, int home_worker) {
     // Same striping rule as Runtime::pick_worker_in_domain, but with a
@@ -219,21 +480,22 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   // replayed) wall time *is* the virtual cost model.
   Ticks op_clock_begin() { return now_ticks(); }
 
-  void op_note_success(Ticks t0, const OperatorDef& def, const Activation& act, int proc,
-                       Ticks virtual_start, uint64_t occurrence, Ticks& cost) {
+  void op_note_success(Ticks t0, const OperatorDef& def, int op_index, const Activation& act,
+                       int proc, Ticks virtual_start, uint64_t occurrence, Ticks& cost) {
     Ticks measured = now_ticks() - t0;
+    OpState& op = op_state(def, op_index);
     if (config.record_costs != nullptr) {
-      config.record_costs->per_op[def.info.name].push_back(measured);
+      // The row is created on first success, so operators that never
+      // complete leave no empty row behind.
+      if (op.record == nullptr) op.record = &config.record_costs->per_op[def.info.name];
+      op.record->push_back(measured);
     }
     if (config.fixed_costs != nullptr) {
-      const auto it = config.fixed_costs->find(def.info.name);
-      measured = it != config.fixed_costs->end() ? it->second : config.fixed_cost_default_ns;
-    } else if (config.replay_costs != nullptr) {
-      auto it = config.replay_costs->per_op.find(def.info.name);
-      if (it != config.replay_costs->per_op.end() && occurrence < it->second.size()) {
-        measured = it->second[occurrence];
-      }
+      measured = op.fixed_cost;
+    } else if (op.replay != nullptr && occurrence < op.replay->size()) {
+      measured = (*op.replay)[occurrence];
     }
+    measured = std::max<Ticks>(measured, 0);
     cost += measured;
     counters_.operator_ticks.fetch_add(measured, std::memory_order_relaxed);
     if (config.enable_node_timing) {
@@ -242,10 +504,10 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     }
   }
 
-  uint64_t op_arrival(const OperatorDef& def, int /*op_index*/, bool /*has_plan*/) {
+  uint64_t op_arrival(const OperatorDef& def, int op_index, bool /*has_plan*/) {
     // Counted unconditionally (unlike the threaded runtime): cost replay
     // needs the occurrence index even with no injection plan.
-    return op_occurrence[def.info.name]++;
+    return op_state(def, op_index).occurrences++;
   }
 
   int last_affinity_worker(int op_index) {
@@ -283,62 +545,25 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   // -- Discrete-event scheduler ----------------------------------------------
 
-  /// Pick the next (processor, item) pair under the ready-queue policy and
-  /// remove the item from the queue. Returns false when nothing is ready.
-  bool select(int& proc_out, size_t& item_out, Ticks& start_out) {
+  /// Pick the next (processor, item) pair under the ready-queue policy,
+  /// leaving the item queued until ready.take(). Returns false when
+  /// nothing is queued.
+  ///
+  /// The pick rule: the earliest-free processor p starts at t = max(its
+  /// free time, the earliest ready time). Among items ready by t the
+  /// smallest (queue level, affinity class, seq) wins: priority level
+  /// first; within a level, items bound to p, then unbound items, then
+  /// items bound elsewhere — FIFO inside each class, mirroring Runtime's
+  /// pop order. ReadyQueue evaluates it without scanning the queue.
+  bool select(int& proc_out, Queue::Pick& pick_out, Ticks& start_out) {
     if (ready.empty()) return false;
-    // Earliest-free processor; if it would idle past the earliest ready
-    // time, it starts then.
     int p = 0;
     for (int i = 1; i < config.num_procs; ++i) {
       if (proc_avail[i] < proc_avail[p]) p = i;
     }
-    Ticks t = proc_avail[p];
-    Ticks min_ready = kNever;
-    for (const ReadyItem& item : ready) min_ready = std::min(min_ready, item.ready);
-    t = std::max(t, min_ready);
-
-    // Among items ready at <= t: priority level first; within a level,
-    // prefer items bound to this processor, then unbound, then steal —
-    // FIFO inside each class. Mirrors Runtime's pop order. Under a
-    // multi-domain topology with locality_scheduling the class ladder
-    // grows a rung: bound-here, bound-same-domain, unbound, bound-
-    // elsewhere — the virtual twin of Runtime's domain-aware steal scan.
-    // The three-class ranking is kept verbatim otherwise, so default,
-    // UMA, and legacy-flat schedules stay byte-identical.
-    const bool domain_aware =
-        exec_config().locality_scheduling && topology().num_domains > 1;
-    const int p_domain = domain_aware ? topology().domain_of(p) : -1;
-    size_t best = ready.size();
-    int best_rank = std::numeric_limits<int>::max();
-    uint64_t best_seq = std::numeric_limits<uint64_t>::max();
-    for (size_t i = 0; i < ready.size(); ++i) {
-      const ReadyItem& item = ready[i];
-      if (item.ready > t) continue;
-      int rank;
-      if (domain_aware) {
-        int affinity_class = 2;  // unbound
-        if (item.preferred == p) affinity_class = 0;
-        else if (item.preferred >= 0 &&
-                 topology().domain_of(item.preferred) == p_domain) affinity_class = 1;
-        else if (item.preferred >= 0) affinity_class = 3;
-        rank = item.priority * 4 + affinity_class;
-      } else {
-        int affinity_class = 1;  // unbound
-        if (item.preferred == p) affinity_class = 0;
-        else if (item.preferred >= 0) affinity_class = 2;
-        rank = item.priority * 3 + affinity_class;
-      }
-      if (rank < best_rank || (rank == best_rank && item.seq < best_seq)) {
-        best = i;
-        best_rank = rank;
-        best_seq = item.seq;
-      }
-    }
-    if (best == ready.size()) return false;  // defensive; cannot happen
+    start_out = ready.advance(proc_avail[p]);
+    pick_out = ready.pick(p);
     proc_out = p;
-    item_out = best;
-    start_out = t;
     return true;
   }
 
@@ -349,32 +574,28 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     while (true) {
       if (purge_pending) {
         // An instance was cancelled (fail_fast fault, budget, watchdog):
-        // sweep its queued items, in queue order so the purge trace is
+        // sweep its queued items, in enqueue order so the purge trace is
         // deterministic. Siblings' items are untouched — this sweep *is*
         // the fault-containment boundary.
         purge_pending = false;
-        size_t keep = 0;
-        for (size_t i = 0; i < ready.size(); ++i) {
-          ReadyItem& it = ready[i];
-          if (static_cast<SimInstance*>(it.act->run)->cancelled) {
-            counters_.items_purged.fetch_add(1, std::memory_order_relaxed);
-            if (tracing) {
-              const Node& n = it.act->tmpl->nodes[it.node];
-              trace_event(it.ready, -1, TraceEventKind::kPurge,
-                          n.kind == NodeKind::kOperator ? n.op_index : -1);
-            }
-          } else {
-            if (keep != i) ready[keep] = std::move(ready[i]);
-            ++keep;
-          }
-        }
-        ready.resize(keep);
+        ready.purge(
+            [](const Queue::Item& it) {
+              return static_cast<SimInstance*>(it.act->run)->cancelled;
+            },
+            [this](const Queue::Item& it) {
+              counters_.items_purged.fetch_add(1, std::memory_order_relaxed);
+              if (tracing) {
+                const Node& n = it.act->tmpl->nodes[it.node];
+                trace_event(it.ready, -1, TraceEventKind::kPurge,
+                            n.kind == NodeKind::kOperator ? n.op_index : -1);
+              }
+            });
         continue;
       }
       int proc;
-      size_t index;
+      Queue::Pick pick;
       Ticks start;
-      if (!select(proc, index, start)) break;
+      if (!select(proc, pick, start)) break;
       // Virtual-time watchdog: work would start past the *global* budget
       // with no result delivered — fully deterministic, unlike
       // wall-clock stall detection in the threaded runtime. Cancels
@@ -392,7 +613,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
         purge_pending = true;
         continue;
       }
-      SimInstance* si = static_cast<SimInstance*>(ready[index].act->run);
+      SimInstance* si = static_cast<SimInstance*>(ready.at(pick).act->run);
       // Per-instance virtual deadline: this instance's next work would
       // start past its ceiling. Reported as a structured stall, never an
       // exception, and never visible to siblings.
@@ -407,8 +628,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
         purge_pending = true;
         continue;  // the sweep collects the selected item too
       }
-      ReadyItem item = std::move(ready[index]);
-      ready.erase(ready.begin() + static_cast<long>(index));
+      const Queue::Item item = ready.take(pick);
       Ticks cost = config.node_overhead_ns;
       try {
         cost = execute_node(item.act, item.node, proc, start);
@@ -544,6 +764,8 @@ SimConfig SimConfig::sharded_cluster(int procs_per_shard) {
 SimRuntime::SimRuntime(const OperatorRegistry& registry, SimConfig config)
     : registry_(registry), config_(config) {
   if (config_.num_procs <= 0) config_.num_procs = 1;
+  // Virtual time never runs backwards (see ReadyQueue).
+  config_.node_overhead_ns = std::max<int64_t>(config_.node_overhead_ns, 0);
   // Same environment overrides as the threaded runtime.
   apply_exec_env_overrides(config_);
 }

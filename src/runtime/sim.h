@@ -1,13 +1,16 @@
 // Virtual-time execution of coordination graphs.
 //
-// The paper evaluates on 4-processor Crays and a Sequent; this
-// reproduction machine has a single core, so wall-clock speedups are
-// unobtainable. SimRuntime substitutes a deterministic discrete-event
-// scheduler: every operator *executes for real* (values are exact), its
-// cost is measured, and a virtual P-processor machine is simulated with
-// the same ready-queue policy as the threaded runtime (three priority
-// levels, FIFO within a level, affinity preferences). Speedup figures
-// are ratios of virtual makespans.
+// The paper evaluates on 4-processor Crays and a Sequent. The threaded
+// runtime measures real speedups only up to the host's hardware threads;
+// beyond that, and wherever a deterministic schedule is needed,
+// SimRuntime substitutes a discrete-event scheduler: every operator
+// *executes for real* (values are exact), its cost is measured (or
+// fixed, or replayed), and a virtual P-processor machine is simulated
+// with the same ready-queue policy as the threaded runtime (three
+// priority levels, FIFO within a level, affinity preferences). Speedup
+// figures are ratios of virtual makespans. The pick rule and the indexed
+// ready queue that evaluates it are described in docs/RUNTIME.md, "The
+// virtual-time executor".
 //
 // All graph semantics (activation lifecycle, CoW, fault capture/retry,
 // trace emission) come from the shared ExecutorCore (executor_core.h);

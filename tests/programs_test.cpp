@@ -43,6 +43,11 @@ struct Golden {
   double tolerance;  // 0 = exact integer
 };
 
+// Without this, gtest prints a Golden as its raw bytes, which include the
+// `file` pointer: test names listed for ctest would change with every
+// address-space layout.
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.file; }
+
 class DlrPrograms : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(DlrPrograms, ComputesGoldenResultEverywhere) {

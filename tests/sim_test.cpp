@@ -162,5 +162,40 @@ main()
   EXPECT_EQ(sim_uma.run(program).stats.remote_block_moves, 0u);
 }
 
+TEST(Sim, NegativeCostsCountAsZero) {
+  // Virtual time never runs backwards: the ready queue releases work
+  // behind a monotone pick-time watermark, so a negative configured
+  // cost schedules exactly like a zero one.
+  CompiledProgram program = compile_or_throw(
+      "fib(n) if less_than(n, 2) then n else add(fib(sub(n, 1)), fib(sub(n, 2)))\n"
+      "main() fib(7)",
+      registry());
+  auto run = [&](int64_t overhead, const std::unordered_map<std::string, Ticks>& costs,
+                 Ticks default_cost) {
+    SimConfig config;
+    config.num_procs = 3;
+    config.node_overhead_ns = overhead;
+    config.fixed_costs = &costs;
+    config.fixed_cost_default_ns = default_cost;
+    config.enable_tracing = true;
+    return SimRuntime(registry(), config).run(program);
+  };
+  const std::unordered_map<std::string, Ticks> negative = {{"add", -700}, {"sub", 300}};
+  const std::unordered_map<std::string, Ticks> zero = {{"add", 0}, {"sub", 300}};
+  const SimResult clamped = run(-300, negative, -50);
+  const SimResult reference = run(0, zero, 0);
+  EXPECT_EQ(clamped.result.as_int(), 13);
+  EXPECT_GT(reference.makespan, 0);
+  EXPECT_EQ(clamped.makespan, reference.makespan);
+  EXPECT_EQ(clamped.proc_busy, reference.proc_busy);
+  ASSERT_EQ(clamped.trace_events.size(), reference.trace_events.size());
+  for (size_t i = 0; i < clamped.trace_events.size(); ++i) {
+    const TraceEvent& a = clamped.trace_events[i];
+    const TraceEvent& b = reference.trace_events[i];
+    EXPECT_TRUE(a.ts == b.ts && a.kind == b.kind && a.op == b.op && a.worker == b.worker)
+        << "trace event " << i;
+  }
+}
+
 }  // namespace
 }  // namespace delirium
