@@ -80,7 +80,7 @@ int main() {
       SimConfig config;
       config.num_procs = 4;
       config.replay_costs = &costs;
-      config.remote_penalty_ns_per_kb = penalty;
+      if (penalty > 0) config.topology = MemoryTopology::flat(penalty);
       config.affinity = affinity;
       SimRuntime sim(registry, config);
       SimResult result = sim.run(program);

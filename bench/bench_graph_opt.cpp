@@ -8,10 +8,9 @@
 //  2. A/A-disciplined wall-clock comparison on tiny-op fan-out
 //     workloads whose per-iteration bodies are dominated by
 //     constant-returning pure calls — the shape the facts engine's
-//     interprocedural folding collapses. Protocol is
-//     bench_activation_pool's: two identical facts-optimized programs
-//     interleaved min-of-N give the A/A noise floor (FAIL outside
-//     ±5%), and the unoptimized program must come out >= the gate
+//     interprocedural folding collapses. Protocol: two identical
+//     facts-optimized programs interleaved min-of-N give the A/A noise
+//     floor (FAIL outside ±5%), and the unoptimized program must come out >= the gate
 //     ratio slower (FAIL below it — the rewrite must pay for itself).
 //
 // `--quick` drops reps/matrix for CI; a JSON path as the last argument

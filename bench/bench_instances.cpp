@@ -17,7 +17,7 @@
 //    overhead on top of identical graph work.
 //  * soak — thousands of requests mixing healthy / faulting / stalling
 //    / budget-buster instances through one manager per config, across
-//    schedulers × worker counts and the virtual-time simulator.
+//    worker counts and the virtual-time simulator.
 //    Reports req/s and p50/p99 instance latency (LogHistogram, the
 //    metrics-layer estimator), and FAILS if isolation is violated: a
 //    healthy instance not completing with the right value, or the
@@ -54,8 +54,7 @@ double now_ms() {
 }
 
 /// Wide parmap of cheap operators joined by an iterate fold: maximal
-/// scheduler traffic per unit of useful work (same shape as
-/// bench_scheduler's fan-out program).
+/// scheduler traffic per unit of useful work.
 const char* kFanOutSource = R"(
 work(x) add(mul(x, x), incr(x))
 total(p)
@@ -286,26 +285,15 @@ int main(int argc, char** argv) {
   const CompiledProgram stall_prog =
       compile_noopt("dawdle(n) add(slow_op(n), 1)\nmain() dawdle(1)", chaos_registry);
 
-  struct ThreadedSpec {
-    SchedulerKind sched;
-    int workers;
-  };
-  const std::vector<ThreadedSpec> threaded_specs =
-      quick ? std::vector<ThreadedSpec>{{SchedulerKind::kWorkStealing, 4}}
-            : std::vector<ThreadedSpec>{{SchedulerKind::kGlobalLock, 2},
-                                        {SchedulerKind::kGlobalLock, 8},
-                                        {SchedulerKind::kWorkStealing, 2},
-                                        {SchedulerKind::kWorkStealing, 8}};
+  const std::vector<int> threaded_workers =
+      quick ? std::vector<int>{4} : std::vector<int>{2, 8};
 
   std::vector<SoakPoint> soak_points;
   bool soak_ok = true;
-  for (const ThreadedSpec& spec : threaded_specs) {
-    const std::string name =
-        std::string(spec.sched == SchedulerKind::kWorkStealing ? "ws" : "gl") +
-        std::to_string(spec.workers);
+  for (const int workers : threaded_workers) {
+    const std::string name = "ws" + std::to_string(workers);
     RuntimeConfig config;
-    config.scheduler = spec.sched;
-    config.num_workers = spec.workers;
+    config.num_workers = workers;
     Runtime runtime(chaos_registry, config);
 
     const double start = now_ms();

@@ -1,32 +1,24 @@
-// Locality model A/A gate + UMA→strongly-NUMA sweep (docs/RUNTIME.md
-// "Locality model"): measures what topology-aware placement buys,
-// entirely in virtual time so the numbers are deterministic and
-// meaningful on any host (including single-core CI).
+// Locality model UMA→strongly-NUMA sweep (docs/RUNTIME.md "Locality
+// model"): measures what topology-aware placement buys, entirely in
+// virtual time so the numbers are deterministic and meaningful on any
+// host (including single-core CI).
 //
-// Protocol (all legs replay fixed per-operator costs through SimRuntime,
-// so a "measurement" is an exact virtual-ns makespan):
+// Protocol: every leg replays fixed per-operator costs through
+// SimRuntime, so a "measurement" is an exact virtual-ns makespan. D big
+// blocks, each homed in its own NUMA domain, are each fanned out to F
+// readers. The locality-AWARE schedule (data affinity + domain-biased
+// selection, the defaults) keeps every reader in its block's home
+// domain; the locality-BLIND schedule (affinity none,
+// DELIRIUM_LOCALITY=0 semantics) scatters readers FIFO and pays the
+// inter-domain per-KiB transfer + migration surcharge per pull. The
+// bench FAILS (exit 1) if aware is not >= 1.2x at the strongly-NUMA
+// (cluster) point, or if it leaves ±5% at the penalty-0 multi-domain
+// point (same domains, zero costs — placement must be free when memory
+// is uniform).
 //
-//  * A/A — the legacy flat knob (remote_penalty_ns_per_kb) vs the
-//    explicit degenerate topology (MemoryTopology::flat) it now maps
-//    onto. The refactor promises the mapping is byte-identical, so the
-//    two makespans must agree; the bench FAILS (exit 1) if the geomean
-//    ratio across processor counts leaves ±5%.
-//  * sweep — D big blocks, each homed in its own NUMA domain, each
-//    fanned out to F readers. The locality-AWARE schedule (data
-//    affinity + domain-biased selection, the defaults) keeps every
-//    reader in its block's home domain; the locality-BLIND schedule
-//    (affinity none, DELIRIUM_LOCALITY=0 semantics) scatters readers
-//    FIFO and pays the inter-domain per-KiB transfer + migration
-//    surcharge per pull. The bench FAILS if aware is not >= 1.2x at the
-//    strongly-NUMA (cluster) point, or if it leaves ±5% at the
-//    penalty-0 multi-domain point (same domains, zero costs — placement
-//    must be free when memory is uniform).
-//
-// `--quick` trims the processor sweep for CI; a JSON path as the last
-// argument writes the results (BENCH_locality.json is a recorded run).
-#include <cmath>
+// A JSON path as the only argument writes the results
+// (BENCH_locality.json is a recorded run).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -105,56 +97,12 @@ struct SweepPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const std::string json_path = argc > 1 ? argv[1] : "";
 
   auto registry = locality_registry();
   const CompiledProgram program = compile_or_throw(reader_source(), *registry);
   const std::unordered_map<std::string, Ticks> costs = {
       {"make_data", kReadNs}, {"weigh", kReadNs}, {"add", kJoinNs}};
-
-  // -- A/A: legacy flat knob vs the explicit degenerate topology --------------
-  const std::vector<int> proc_sweep =
-      quick ? std::vector<int>{4} : std::vector<int>{2, 4, 8};
-  struct AaPoint {
-    int procs;
-    int64_t legacy_ns;
-    int64_t explicit_ns;
-  };
-  std::vector<AaPoint> aa_points;
-  double aa_log_sum = 0;
-  for (const int procs : proc_sweep) {
-    SimConfig legacy;
-    legacy.remote_penalty_ns_per_kb = 1000;
-    SimConfig explicit_flat;
-    explicit_flat.topology = MemoryTopology::flat(1000);
-    AaPoint p{procs, virtual_makespan(program, *registry, costs, legacy, procs),
-              virtual_makespan(program, *registry, costs, explicit_flat, procs)};
-    aa_log_sum += std::log(static_cast<double>(p.explicit_ns) /
-                           static_cast<double>(p.legacy_ns));
-    aa_points.push_back(p);
-  }
-  const double aa_geomean = std::exp(aa_log_sum / static_cast<double>(aa_points.size()));
-  const bool aa_ok = aa_geomean >= 0.95 && aa_geomean <= 1.05;
-
-  tools::Table aa_table({"procs", "legacy flat (ns)", "topology flat (ns)", "ratio"});
-  for (const AaPoint& p : aa_points) {
-    aa_table.add_row({std::to_string(p.procs), std::to_string(p.legacy_ns),
-                      std::to_string(p.explicit_ns),
-                      tools::Table::ratio(static_cast<double>(p.explicit_ns) /
-                                          static_cast<double>(p.legacy_ns))});
-  }
-  std::printf("A/A: remote_penalty_ns_per_kb=1000 vs MemoryTopology::flat(1000) "
-              "(same program, fixed virtual costs):\n");
-  aa_table.print(std::cout);
-  std::printf("A/A geomean: %.3f\n\n", aa_geomean);
 
   // -- Sweep: UMA -> strongly NUMA, locality-aware vs locality-blind ----------
   // "numa4:inter=0,migrate=0" is the penalty-0 control: same four
@@ -220,15 +168,6 @@ int main(int argc, char** argv) {
        << "  \"procs\": " << kProcs << ",\n"
        << "  \"blocks\": " << kBlocks << ",\n"
        << "  \"fanout\": " << kFanout << ",\n"
-       << "  \"aa\": [\n";
-  for (size_t i = 0; i < aa_points.size(); ++i) {
-    const AaPoint& p = aa_points[i];
-    json << "    {\"procs\": " << p.procs << ", \"legacy_ns\": " << p.legacy_ns
-         << ", \"explicit_ns\": " << p.explicit_ns << "}"
-         << (i + 1 < aa_points.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"aa_geomean\": " << aa_geomean << ",\n"
        << "  \"sweep\": [\n";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
@@ -250,13 +189,6 @@ int main(int argc, char** argv) {
     std::fputs(json.str().c_str(), stdout);
   }
 
-  if (!aa_ok) {
-    std::fprintf(stderr,
-                 "FAIL: legacy flat knob vs explicit flat topology left the ±5%% A/A "
-                 "band (geomean %.3f) — the mapping is not byte-identical\n",
-                 aa_geomean);
-    return 1;
-  }
   if (!zero_ok) {
     std::fprintf(stderr,
                  "FAIL: locality-aware scheduling regressed the penalty-0 point "
@@ -271,6 +203,6 @@ int main(int argc, char** argv) {
                  cluster_ratio);
     return 1;
   }
-  std::printf("A/A within ±5%%; penalty-0 within ±5%%; aware >= 1.2x at cluster\n");
+  std::printf("penalty-0 within ±5%%; aware >= 1.2x at cluster\n");
   return 0;
 }

@@ -44,8 +44,7 @@ double now_ms() {
 }
 
 /// Wide parmap of cheap operators joined by an iterate fold: maximal
-/// scheduler traffic per unit of useful work (same shape as
-/// bench_scheduler's fan-out program).
+/// scheduler traffic per unit of useful work.
 const char* kFanOutSource = R"(
 work(x) add(mul(x, x), incr(x))
 total(p)

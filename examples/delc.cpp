@@ -13,8 +13,6 @@
 //                     DELIRIUM_EXECUTOR environment variable overrides
 //                     the flag.
 //     --workers N     worker threads for --run (default 4)
-//     --scheduler S   ready-queue implementation for --run:
-//                     "work_stealing" (default) or "global_lock"
 //     --affinity M    scheduling affinity for --run and --sim: "none",
 //                     "operator" (last-worker memory per operator), or
 //                     "data" (follow the biggest input block's home
@@ -136,8 +134,6 @@ void print_usage(std::FILE* out) {
       "  --executor threaded|sim   which engine executes the program (--executor=E\n"
       "                            also accepted; DELIRIUM_EXECUTOR overrides)\n"
       "  --workers N               worker threads for --run (default 4)\n"
-      "  --scheduler work_stealing|global_lock\n"
-      "                            ready-queue implementation for --run\n"
       "  --affinity none|operator|data\n"
       "                            scheduling affinity (--affinity=M also accepted;\n"
       "                            DELIRIUM_AFFINITY overrides)\n"
@@ -171,9 +167,8 @@ void print_usage(std::FILE* out) {
       "  --plan-target MS          with --plan: report the smallest worker count\n"
       "                            whose predicted makespan meets MS milliseconds\n"
       "  --help                    print this flag summary and exit\n"
-      "environment: DELIRIUM_EXECUTOR, DELIRIUM_SCHEDULER, DELIRIUM_INJECT_FAULTS,\n"
-      "             DELIRIUM_RETRIES, DELIRIUM_TRACE, DELIRIUM_TRACE_CAPACITY,\n"
-      "             DELIRIUM_ACTIVATION_POOL, DELIRIUM_GRAPH_FACTS,\n"
+      "environment: DELIRIUM_EXECUTOR, DELIRIUM_INJECT_FAULTS, DELIRIUM_RETRIES,\n"
+      "             DELIRIUM_TRACE, DELIRIUM_TRACE_CAPACITY, DELIRIUM_GRAPH_FACTS,\n"
       "             DELIRIUM_FACTS_FOLD, DELIRIUM_FACTS_DEADPARAM,\n"
       "             DELIRIUM_FACTS_FUSE, DELIRIUM_FACTS_TUPLES,\n"
       "             DELIRIUM_FACTS_STRAND, DELIRIUM_FACTS_SOLE,\n"
@@ -211,7 +206,6 @@ int main(int argc, char** argv) {
   int instances = 0;
   long admission_cap = 0;
   delirium::InstanceBudget instance_budget;
-  delirium::SchedulerKind scheduler = delirium::SchedulerKind::kWorkStealing;
   std::string affinity;       // "", "none", "operator", or "data"
   std::string topology_spec;  // "" = the config default (uma)
   for (int i = 1; i < argc; ++i) {
@@ -233,12 +227,6 @@ int main(int argc, char** argv) {
     else if (arg == "--executor" && i + 1 < argc) executor = argv[++i];
     else if (arg.rfind("--executor=", 0) == 0) executor = arg.substr(sizeof("--executor=") - 1);
     else if (arg == "--workers" && i + 1 < argc) workers = std::atoi(argv[++i]);
-    else if (arg == "--scheduler" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "work_stealing") scheduler = delirium::SchedulerKind::kWorkStealing;
-      else if (mode == "global_lock") scheduler = delirium::SchedulerKind::kGlobalLock;
-      else return usage();
-    }
     else if (arg == "--affinity" && i + 1 < argc) affinity = argv[++i];
     else if (arg.rfind("--affinity=", 0) == 0) affinity = arg.substr(sizeof("--affinity=") - 1);
     else if (arg == "--topology" && i + 1 < argc) topology_spec = argv[++i];
@@ -293,7 +281,7 @@ int main(int argc, char** argv) {
   if (path.empty()) return usage();
 
   // DELIRIUM_EXECUTOR overrides the --executor flag, mirroring how the
-  // runtime's own env knobs (DELIRIUM_SCHEDULER, ...) win over config.
+  // runtime's own env knobs (DELIRIUM_AFFINITY, ...) win over config.
   // The shared parser rejects bad spellings naming the variable and the
   // offending value instead of silently ignoring them.
   try {
@@ -473,7 +461,7 @@ int main(int argc, char** argv) {
 
   // Capacity planning: replay the profile through the virtual-time
   // executor across the worker sweep. Byte-deterministic for a given
-  // (program, profile) — the --scheduler/--workers/--executor flags do
+  // (program, profile) — the --workers/--executor flags do
   // not enter the simulation.
   if (plan) {
     if (!have_profile) {
@@ -609,7 +597,6 @@ int main(int argc, char** argv) {
     config.num_workers = workers;
     config.enable_node_timing = !trace_path.empty() || !metrics_path.empty();
     config.enable_tracing = !trace_events_path.empty() || !profile_out_path.empty();
-    config.scheduler = scheduler;
     config.max_retries = retries;
     config.watchdog_budget_ms = watchdog_ms;
     apply_locality_flags(config);

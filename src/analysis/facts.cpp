@@ -12,7 +12,7 @@ namespace {
 /// The uniform kill-switch convention ("<VAR>=0" / "false" / "off",
 /// anything else rejected with a diagnostic naming the variable) — the
 /// shared parser in src/support/env.h, same as the runtime's
-/// DELIRIUM_TRACE / DELIRIUM_ACTIVATION_POOL handling.
+/// DELIRIUM_TRACE / DELIRIUM_LOCALITY handling.
 bool env_off(const char* name) { return !env_flag(name, true); }
 
 /// Three-point lattice for constant propagation. Values only descend:

@@ -1,5 +1,6 @@
 #include "src/runtime/executor_core.h"
 
+#include <cassert>
 #include <cstring>
 #include <string_view>
 
@@ -14,7 +15,6 @@ void apply_exec_env_overrides(ExecConfig& config) {
   config.trace_capacity = static_cast<size_t>(
       env_int("DELIRIUM_TRACE_CAPACITY", static_cast<int64_t>(config.trace_capacity), 1,
               int64_t{1} << 32));
-  config.activation_pool = env_flag("DELIRIUM_ACTIVATION_POOL", config.activation_pool);
   config.cost_hints = env_flag("DELIRIUM_COST_HINTS", config.cost_hints);
   const size_t current_affinity = static_cast<size_t>(config.affinity);
   config.affinity = static_cast<AffinityMode>(
@@ -102,7 +102,7 @@ ActivationPool::TlsCache& ActivationPool::bound_cache() {
 }
 
 void* ActivationPool::allocate(size_t bytes) {
-  const int cls = enabled_ ? size_class(bytes) : -1;
+  const int cls = size_class(bytes);
   if (cls < 0) {
     allocated_.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(bytes);
@@ -155,7 +155,7 @@ void* ActivationPool::refill_and_allocate(TlsCache& cache, int cls, size_t cls_b
 }
 
 void ActivationPool::deallocate(void* p, size_t bytes) noexcept {
-  const int cls = enabled_ ? size_class(bytes) : -1;
+  const int cls = size_class(bytes);
   if (cls < 0) {
     ::operator delete(p);
     return;

@@ -49,15 +49,13 @@
 // fault or final value still lands in its own instance's state
 // (src/runtime/instance.h).
 //
-// Scheduler choice (global-lock vs work-stealing), parking, and the
-// drain/watchdog drivers stay Machine-side: they are machine models, not
-// graph semantics.
+// Ready queues, parking, and the drain/watchdog drivers stay
+// Machine-side: they are machine models, not graph semantics.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -108,20 +106,15 @@ struct ExecConfig {
   /// activations proportional to their iteration count.
   bool enable_tail_calls = true;
   AffinityMode affinity = AffinityMode::kNone;
-  /// Simulated NUMA: cost, in nanoseconds per KiB, of an operator touching
-  /// a block whose home is another worker (models the BBN Butterfly's
-  /// expensive remote references). 0 disables the model. Runtime spins
-  /// for the penalty; SimRuntime charges it to the virtual clock.
-  /// Kept as the legacy flat knob: when set and `topology` is the
-  /// default UMA, the executors run under MemoryTopology::flat(penalty)
-  /// — the degenerate one-worker-per-domain topology, byte-identical to
-  /// the pre-topology charge. An explicit non-default `topology` wins.
-  int64_t remote_penalty_ns_per_kb = 0;
   /// The NUMA-domain machine model (src/support/topology.h): worker→
   /// domain striping and intra/inter-domain per-KiB pull costs plus a
-  /// cross-domain migration surcharge. Defaults to UMA (one domain,
-  /// zero cost — the accounting is skipped entirely). Overridable via
-  /// DELIRIUM_TOPOLOGY; a performance model only, never semantics.
+  /// cross-domain migration surcharge, modelling e.g. the BBN
+  /// Butterfly's expensive remote references. The threaded runtime spins
+  /// for a charge; SimRuntime adds it to the virtual clock. Defaults to
+  /// UMA (one domain, zero cost — the accounting is skipped entirely);
+  /// MemoryTopology::flat(ns_per_kib) charges every pull from another
+  /// worker the same per-KiB penalty. Overridable via DELIRIUM_TOPOLOGY;
+  /// a performance model only, never semantics.
   MemoryTopology topology;
   /// Let the schedulers *use* the topology: same-domain-first steal
   /// order and in-domain data-affinity placement. Off = locality-blind
@@ -158,16 +151,12 @@ struct ExecConfig {
   /// DELIRIUM_TRACE_CAPACITY. SimRuntime records into one growable
   /// vector and never overwrites, so the capacity is ignored there.
   size_t trace_capacity = kDefaultTraceCapacity;
-  /// Recycle Activation/Collector storage through the per-executor
-  /// arena + freelist pool (RunStats.activations_pooled/_allocated;
-  /// bench_activation_pool). Kill switch: DELIRIUM_ACTIVATION_POOL=0.
-  bool activation_pool = true;
 };
 
 /// Apply the environment overrides every executor honors to an already-
 /// populated config: DELIRIUM_TRACE, DELIRIUM_TRACE_CAPACITY,
-/// DELIRIUM_ACTIVATION_POOL, DELIRIUM_COST_HINTS, DELIRIUM_AFFINITY,
-/// DELIRIUM_TOPOLOGY, DELIRIUM_LOCALITY.
+/// DELIRIUM_COST_HINTS, DELIRIUM_AFFINITY, DELIRIUM_TOPOLOGY,
+/// DELIRIUM_LOCALITY.
 void apply_exec_env_overrides(ExecConfig& config);
 
 /// Ready-queue levels: the three §7 priority classes, each split into a
@@ -206,10 +195,9 @@ struct RunStats {
   uint64_t remote_bytes_pulled = 0; // payload bytes of cross-domain pulls
   Ticks operator_ticks = 0;         // total time inside operators
 
-  // Scheduler counters. The global-lock scheduler fills only the enqueue
-  // split (every enqueue is "local": one shared queue); SimRuntime
-  // reports every virtual enqueue as local and the rest as zero, so
-  // tooling sees one schema across all three executors.
+  // Scheduler counters. SimRuntime reports every virtual enqueue as
+  // local and the rest as zero, so tooling sees one schema across both
+  // executors.
   uint64_t sched_local_enqueues = 0;     // pushed to the enqueuer's own deque
   uint64_t sched_injected_enqueues = 0;  // crossed workers via an MPSC inbox
   uint64_t sched_steals = 0;             // items taken from a victim's deque
@@ -249,8 +237,7 @@ struct RunStats {
 /// Activation/Collector control blocks (via allocate_shared) and their
 /// slot/pending vectors, plus the operator-argument scratch vectors.
 /// Size-classed (powers of two, 16 B .. 16 KiB) over 64 KiB bump-arena
-/// chunks; anything larger, or everything when disabled, falls through
-/// to the global heap.
+/// chunks; anything larger falls through to the global heap.
 ///
 /// Two tiers keep the hot path lock-free: each thread holds a bounded
 /// magazine of free objects per size class (plain pointer pushes and
@@ -272,14 +259,6 @@ class ActivationPool {
   ~ActivationPool();
   ActivationPool(const ActivationPool&) = delete;
   ActivationPool& operator=(const ActivationPool&) = delete;
-
-  /// Must be called before the first allocation (toggling afterwards
-  /// would send pooled memory to the heap deallocator, or vice versa).
-  void set_enabled(bool enabled) {
-    assert(chunks_.empty() && "pool enable flag must be set before first use");
-    enabled_ = enabled;
-  }
-  bool enabled() const { return enabled_; }
 
   void* allocate(size_t bytes);
   void deallocate(void* p, size_t bytes) noexcept;
@@ -337,7 +316,6 @@ class ActivationPool {
   std::array<FreeNode*, kNumClasses> free_{};
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   size_t chunk_used_ = kChunkBytes;  // "full": the first allocation opens a chunk
-  bool enabled_ = true;
   const uint64_t id_;                   // process-unique generation (see TlsCache)
   std::atomic<uint64_t> pooled_{0};     // freelist hits (recycled objects)
   std::atomic<uint64_t> allocated_{0};  // fresh carves + heap passthroughs
@@ -529,30 +507,17 @@ class ExecutorCore {
   // -- Setup -----------------------------------------------------------------
 
   /// Point the core at the Machine's resolved config (after its
-  /// environment overrides) and arm the pool. Call once, from the
-  /// Machine's constructor, before any activation exists.
-  ///
-  /// Resolves the *effective* topology here: the legacy flat knob
-  /// (remote_penalty_ns_per_kb) with a default UMA topology maps onto
-  /// MemoryTopology::flat(penalty) — one domain per worker, charging
-  /// exactly the old per-KiB penalty — so pre-topology configs and
-  /// benches reproduce byte-identically through the new path.
+  /// environment overrides). Call once, from the Machine's constructor,
+  /// before any activation exists.
   void init_exec(const ExecConfig* config) {
     exec_config_ = config;
-    pool_.set_enabled(config->activation_pool);
-    topo_ = config->topology;
-    if (topo_.single_domain() && !topo_.models_cost() &&
-        config->remote_penalty_ns_per_kb > 0) {
-      topo_ = MemoryTopology::flat(config->remote_penalty_ns_per_kb);
-    }
-    numa_active_ = topo_.models_cost();
+    numa_active_ = config->topology.models_cost();
   }
 
   const ExecConfig& exec_config() const { return *exec_config_; }
 
-  /// The effective topology (see init_exec) both machines schedule and
-  /// charge against.
-  const MemoryTopology& topology() const { return topo_; }
+  /// The topology both machines schedule and charge against.
+  const MemoryTopology& topology() const { return exec_config_->topology; }
 
   /// Ready-queue level for a node: the §7 priority class, split by the
   /// facts engine's critical-path mark when cost_hints is on. Lower
@@ -759,7 +724,7 @@ class ExecutorCore {
       // intra-domain cost, so the Machine spreads these nodes across the
       // domain's workers instead of serializing on the one home worker.
       if (target >= 0 && target_domain >= 0 && exec_config().locality_scheduling &&
-          topo_.num_domains > 1) {
+          topology().num_domains > 1) {
         return machine().pick_worker_in_domain(target_domain, target);
       }
       return target;
@@ -773,12 +738,12 @@ class ExecutorCore {
   /// (spun on the wall clock or added to the virtual clock, per the
   /// Machine) and re-homes the block to the puller; a same-domain pull
   /// from another worker charges the (usually zero) intra-domain rate.
-  /// Under the degenerate flat topology this reproduces the old
-  /// remote_penalty_ns_per_kb accounting byte for byte. A no-op — one
-  /// predictable branch — when the topology models no cost.
+  /// A no-op — one predictable branch — when the topology models no
+  /// cost.
   void pull_blocks(std::span<Value> args, int worker, Ticks& cost) {
     if (!numa_active_) return;
-    const int dom = topo_.domain_of(worker);
+    const MemoryTopology& topo = topology();
+    const int dom = topo.domain_of(worker);
     for (Value& v : args) {
       if (v.kind() != Value::Kind::kBlock) continue;
       BlockBase& blk = *v.block_ptr();
@@ -788,14 +753,13 @@ class ExecutorCore {
         const int64_t kb = static_cast<int64_t>(blk.byte_size() / 1024) + 1;
         if (home_d != dom) {
           machine().charge_remote(home_d, dom, static_cast<int64_t>(blk.byte_size()),
-                                  topo_.inter_kib_cost_ns * kb + topo_.migration_cost_ns,
-                                  cost);
+                                  topo.inter_kib_cost_ns * kb + topo.migration_cost_ns, cost);
           counters_.remote_block_moves.fetch_add(1, std::memory_order_relaxed);
           counters_.remote_bytes_pulled.fetch_add(blk.byte_size(),
                                                   std::memory_order_relaxed);
-        } else if (home_w != worker && topo_.intra_kib_cost_ns > 0) {
+        } else if (home_w != worker && topo.intra_kib_cost_ns > 0) {
           machine().charge_remote(home_d, dom, static_cast<int64_t>(blk.byte_size()),
-                                  topo_.intra_kib_cost_ns * kb, cost);
+                                  topo.intra_kib_cost_ns * kb, cost);
         }
       }
       blk.set_home(worker, dom);
@@ -959,7 +923,7 @@ class ExecutorCore {
           machine().note_affinity(n.op_index, worker);
         }
         if (result.kind() == Value::Kind::kBlock) {
-          result.block_ptr()->set_home(worker, topo_.domain_of(worker));
+          result.block_ptr()->set_home(worker, topology().domain_of(worker));
         }
         deliver(act_ptr, node, std::move(result), start + cost);
         break;
@@ -1072,7 +1036,7 @@ class ExecutorCore {
             machine().note_affinity(member.op_index, worker);
           }
           if (result.kind() == Value::Kind::kBlock) {
-            result.block_ptr()->set_home(worker, topo_.domain_of(worker));
+            result.block_ptr()->set_home(worker, topology().domain_of(worker));
           }
           chain = std::move(result);
         }
@@ -1243,9 +1207,8 @@ class ExecutorCore {
 
   const OperatorRegistry& registry_;
   const ExecConfig* exec_config_ = nullptr;
-  /// Effective topology (init_exec) and whether it charges anything —
-  /// the one branch the UMA hot path pays for the whole NUMA model.
-  MemoryTopology topo_;
+  /// Whether the topology charges anything — the one branch the UMA hot
+  /// path pays for the whole NUMA model.
   bool numa_active_ = false;
   /// Declared before everything that allocates from it: a base-class
   /// subobject outlives all members of the derived Machine, so every

@@ -243,8 +243,11 @@ void InstanceManager::on_instance_drained(Runtime::RunState* rs) {
     latencies_.push_back(res.latency_ns);
     slot->result = std::move(res);
     slot->done = true;
+    // Notify under the lock: once it is released, a waiting destructor
+    // may see every slot done and destroy cv_ before this worker's
+    // notify would run.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------

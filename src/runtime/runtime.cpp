@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "src/runtime/instance.h"
-#include "src/support/env.h"
 
 namespace delirium {
 
@@ -30,10 +29,6 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
   if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
   if (n <= 0) n = 1;
   config_.num_workers = n;
-  const size_t sched = env_choice(
-      "DELIRIUM_SCHEDULER", {"global_lock", "work_stealing"},
-      config_.scheduler == SchedulerKind::kGlobalLock ? 0u : 1u);
-  config_.scheduler = sched == 0 ? SchedulerKind::kGlobalLock : SchedulerKind::kWorkStealing;
   apply_exec_env_overrides(config_);
   init_exec(&config_);
   if (topology().num_domains > 1) {
@@ -47,29 +42,23 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
     trace_rings_.resize(static_cast<size_t>(n) + 1);
     for (TraceRing& r : trace_rings_) r.init(config_.trace_capacity);
   }
-  local_queues_.resize(n);
   worker_data_.reserve(n);
   for (int w = 0; w < n; ++w) worker_data_.push_back(std::make_unique<WorkerData>());
   op_last_worker_ = std::vector<std::atomic<int>>(registry.size());
   for (auto& a : op_last_worker_) a.store(-1, std::memory_order_relaxed);
   op_arrivals_ = std::vector<std::atomic<uint64_t>>(registry.size());
-  const bool ws = config_.scheduler == SchedulerKind::kWorkStealing;
-  if (ws) {
-    ws_.reserve(n);
-    for (int w = 0; w < n; ++w) ws_.push_back(std::make_unique<WsWorker>());
-  }
+  ws_.reserve(n);
+  for (int w = 0; w < n; ++w) ws_.push_back(std::make_unique<WsWorker>());
   workers_.reserve(n);
-  for (int w = 0; w < n; ++w) {
-    workers_.emplace_back([this, w, ws] { ws ? worker_loop_ws(w) : worker_loop(w); });
-  }
+  for (int w = 0; w < n; ++w) workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 Runtime::~Runtime() {
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    stopping_.store(true, std::memory_order_release);
-  }
-  sched_cv_.notify_all();
+  // A parked worker re-checks stopping_ between prepare_wait and
+  // commit_wait, and notify() bumps the epoch after this store: either
+  // the worker's recheck sees the flag, or its commit sees the new epoch
+  // and returns. Either way it reaches the exit check in worker_loop.
+  stopping_.store(true, std::memory_order_release);
   for (auto& w : ws_) w->ec.notify();
   for (std::thread& t : workers_) t.join();
 }
@@ -217,21 +206,7 @@ void Runtime::enqueue_ready(const std::shared_ptr<Activation>& act, uint32_t nod
   if (target >= config_.num_workers) target = -1;
 
   static_cast<RunState*>(act->run)->outstanding.fetch_add(1, std::memory_order_acq_rel);
-  if (config_.scheduler == SchedulerKind::kWorkStealing) {
-    ws_enqueue(WorkItem{act, node}, priority, target);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    if (target >= 0) {
-      local_queues_[target][priority].push_back(WorkItem{act, node});
-    } else {
-      global_queue_[priority].push_back(WorkItem{act, node});
-    }
-    ++queued_total_;
-  }
-  counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
-  sched_cv_.notify_one();
+  ws_enqueue(WorkItem{act, node}, priority, target);
 }
 
 void Runtime::deliver_final(void* run, Value v, Ticks /*when*/) {
@@ -262,7 +237,7 @@ uint64_t spin_iters_per_us() {
     constexpr uint64_t kProbeIters = 1 << 16;
     volatile uint64_t sink = 0;
     const Ticks t0 = now_ticks();
-    for (uint64_t i = 0; i < kProbeIters; ++i) sink += i;
+    for (uint64_t i = 0; i < kProbeIters; ++i) sink = sink + i;
     const Ticks elapsed = std::max<Ticks>(now_ticks() - t0, 1);
     return std::max<uint64_t>(kProbeIters * 1000 / static_cast<uint64_t>(elapsed), 16);
   }();
@@ -281,7 +256,7 @@ void Runtime::charge_remote(int /*domain_from*/, int /*domain_to*/, int64_t /*by
   volatile uint64_t sink = 0;
   while (now_ticks() < deadline) {
     const uint64_t burst = spin_iters_per_us();
-    for (uint64_t i = 0; i < burst; ++i) sink += i;
+    for (uint64_t i = 0; i < burst; ++i) sink = sink + i;
   }
 }
 
@@ -401,7 +376,7 @@ void Runtime::on_activation_destroyed(Activation* act) { ledger_remove(act); }
 // workers park on a per-worker eventcount; enqueuers wake a parked
 // worker only when one is advertised (one relaxed load on the hot path).
 // The seq_cst fences below pair with the parking protocol in
-// worker_loop_ws: either the enqueuer observes the parked flag, or the
+// worker_loop: either the enqueuer observes the parked flag, or the
 // parking worker's recheck observes the enqueued item.
 
 void Runtime::ws_enqueue(WorkItem item, int priority, int target) {
@@ -446,7 +421,7 @@ void Runtime::ws_wake(int worker) {
   // Claim the parked flag: a flurry of enqueues costs one notify per
   // park episode, not one per item. The worker re-advertises the flag
   // before every wait, and treats a claimed flag as a wakeup (see the
-  // commit condition in worker_loop_ws), so a claim is never lost.
+  // commit condition in worker_loop), so a claim is never lost.
   if (!ws_[worker]->parked.exchange(false, std::memory_order_seq_cst)) return;
   counters_.sched_wakeups.fetch_add(1, std::memory_order_relaxed);
   if (trace_enabled_) {
@@ -548,7 +523,7 @@ bool Runtime::ws_has_work(int worker) const {
   return false;
 }
 
-void Runtime::worker_loop_ws(int worker) {
+void Runtime::worker_loop(int worker) {
   tls_runtime = this;
   tls_worker = worker;
   WsWorker& self = *ws_[worker];
@@ -593,62 +568,6 @@ void Runtime::worker_loop_ws(int worker) {
     self.parked.store(false, std::memory_order_relaxed);
     num_parked_.fetch_sub(1, std::memory_order_relaxed);
     if (stopping_.load(std::memory_order_acquire)) return;
-  }
-}
-
-bool Runtime::pop_item(int worker, WorkItem& out) {
-  // Priority-major: a higher-priority item anywhere beats a lower-priority
-  // one here. Within a level: own queue, then global, then steal — with
-  // the steal scan visiting same-domain workers first under a
-  // multi-domain topology, mirroring the work-stealing executor.
-  const MemoryTopology& topo = topology();
-  const bool domain_aware = exec_config().locality_scheduling && topo.num_domains > 1;
-  const int my_domain = topo.domain_of(worker);
-  for (int pri = 0; pri < kQueueLevels; ++pri) {
-    auto& own = local_queues_[worker][pri];
-    if (!own.empty()) {
-      out = std::move(own.front());
-      own.pop_front();
-      return true;
-    }
-    if (!global_queue_[pri].empty()) {
-      out = std::move(global_queue_[pri].front());
-      global_queue_[pri].pop_front();
-      return true;
-    }
-    const int passes = domain_aware ? 2 : 1;
-    for (int pass = 0; pass < passes; ++pass) {
-      for (size_t other = 0; other < local_queues_.size(); ++other) {
-        if (domain_aware) {
-          const bool same = topo.domain_of(static_cast<int>(other)) == my_domain;
-          if (same != (pass == 0)) continue;
-        }
-        auto& q = local_queues_[other][pri];
-        if (!q.empty()) {
-          out = std::move(q.front());
-          q.pop_front();
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-void Runtime::worker_loop(int worker) {
-  for (;;) {
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(sched_mu_);
-      sched_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || queued_total_ > 0;
-      });
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      if (!pop_item(worker, item)) continue;
-      --queued_total_;
-    }
-    execute(item, worker);
-    item.act.reset();  // release before the next blocking wait
   }
 }
 

@@ -3,18 +3,16 @@
 // All graph semantics — template activation, port fill and firing, the
 // copy-on-write discipline, fault capture/retry, trace and stats
 // emission — live in the shared ExecutorCore (executor_core.h); this
-// header adds the *machine*: a pool of worker threads, the two ready-
-// queue implementations (single-mutex global-lock and lock-free
-// work-stealing), eventcount parking, the wall-clock watchdog, and
-// per-worker trace rings. SimRuntime (sim.h) plugs a virtual-time
-// machine into the same core, so results are deterministic and
-// byte-identical across both executors regardless of worker count.
+// header adds the *machine*: a pool of worker threads, the lock-free
+// work-stealing ready queue, eventcount parking, the wall-clock
+// watchdog, and per-worker trace rings. SimRuntime (sim.h) plugs a
+// virtual-time machine into the same core, so results are deterministic
+// and byte-identical across both executors regardless of worker count.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -31,23 +29,12 @@ namespace delirium {
 
 class InstanceManager;
 
-/// Ready-queue implementation. kGlobalLock is the original single-mutex
-/// scheduler (kept for A/B ablation; see bench_scheduler); kWorkStealing
-/// gives each worker three lock-free Chase–Lev deques (one per §7
-/// priority level) plus an MPSC injection queue, with idle workers
-/// parked on per-worker eventcounts. Computed values are identical under
-/// both — only the schedule changes.
-enum class SchedulerKind { kGlobalLock, kWorkStealing };
-
 /// Threaded-machine knobs. Everything shared with SimRuntime lives in
 /// the ExecConfig base (executor_core.h) so a knob exists in both
 /// executors by construction.
 struct RuntimeConfig : ExecConfig {
   /// Worker threads ("processors"). 0 means hardware concurrency.
   int num_workers = 0;
-  /// Ready-queue implementation; overridable via the DELIRIUM_SCHEDULER
-  /// environment variable ("global_lock" / "work_stealing").
-  SchedulerKind scheduler = SchedulerKind::kWorkStealing;
   /// Watchdog: whole-run wall-clock budget in milliseconds; 0 disables.
   /// A fired watchdog cancels the run and reports which operators were
   /// executing and which activations were stranded waiting for inputs.
@@ -221,9 +208,7 @@ class Runtime : public ExecutorCore<Runtime> {
   void on_activation_created(Activation* act);
   void on_activation_destroyed(Activation* act);
 
-  void worker_loop(int worker);     // kGlobalLock
-  void worker_loop_ws(int worker);  // kWorkStealing
-  bool pop_item(int worker, WorkItem& out);  // called with sched_mu_ held
+  void worker_loop(int worker);
   void ws_enqueue(WorkItem item, int priority, int target);
   bool ws_try_pop(int worker, WorkItem& out);
   bool ws_has_work(int worker) const;
@@ -255,17 +240,8 @@ class Runtime : public ExecutorCore<Runtime> {
 
   RuntimeConfig config_;
 
-  // kGlobalLock scheduler state: one mutex guards all queues. One deque
-  // per ready-queue level (kQueueLevels), globally and per worker (the
-  // latter used only under affinity modes).
-  std::mutex sched_mu_;
-  std::condition_variable sched_cv_;
-  std::array<std::deque<WorkItem>, kQueueLevels> global_queue_;
-  std::vector<std::array<std::deque<WorkItem>, kQueueLevels>> local_queues_;
-  size_t queued_total_ = 0;
+  // Scheduler state (see docs/RUNTIME.md).
   std::atomic<bool> stopping_{false};
-
-  // kWorkStealing scheduler state (see docs/RUNTIME.md).
   std::vector<std::unique_ptr<WsWorker>> ws_;
   std::atomic<int> num_parked_{0};
   std::atomic<uint32_t> inject_rr_{0};  // round-robin for external enqueues

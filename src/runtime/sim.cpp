@@ -343,8 +343,8 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     // Under a multi-domain topology with locality_scheduling the class
     // ladder grows a rung: bound-here, bound-same-domain, unbound,
     // bound-elsewhere — the virtual twin of Runtime's domain-aware steal
-    // scan. The three-class ladder is kept otherwise, so default, UMA,
-    // and legacy-flat schedules are unchanged.
+    // scan. Otherwise the three-class ladder (bound-here, unbound,
+    // bound-elsewhere) applies.
     ready.configure(config.num_procs, topology(),
                     config.locality_scheduling && topology().num_domains > 1);
   }
@@ -492,8 +492,12 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     }
     if (config.fixed_costs != nullptr) {
       measured = op.fixed_cost;
-    } else if (op.replay != nullptr && occurrence < op.replay->size()) {
-      measured = (*op.replay)[occurrence];
+    } else if (config.replay_costs != nullptr) {
+      // Past the end of its row the default keeps wall time off the
+      // virtual clock, so two replays still agree to the nanosecond.
+      measured = op.replay != nullptr && occurrence < op.replay->size()
+                     ? (*op.replay)[occurrence]
+                     : config.fixed_cost_default_ns;
     }
     measured = std::max<Ticks>(measured, 0);
     cost += measured;

@@ -43,7 +43,7 @@ struct CostTable {
 
 /// Virtual-machine knobs. Everything shared with the threaded runtime
 /// (priorities, tail calls, affinity, CoW fast path, retries, tracing,
-/// the activation pool, ...) lives in the ExecConfig base
+/// topology, ...) lives in the ExecConfig base
 /// (executor_core.h) so a knob exists in both executors by construction.
 struct SimConfig : ExecConfig {
   int num_procs = 4;
@@ -53,7 +53,9 @@ struct SimConfig : ExecConfig {
   int64_t node_overhead_ns = 300;
   /// When set, the i-th invocation of each operator costs what the table
   /// says instead of its measured wall time (operators still execute for
-  /// real — values are exact either way).
+  /// real — values are exact either way). An operator missing from the
+  /// table, or invoked more often than its row is long, costs
+  /// `fixed_cost_default_ns`, so a replay never charges wall time.
   const CostTable* replay_costs = nullptr;
   /// When set, measured operator costs are appended here.
   CostTable* record_costs = nullptr;
@@ -63,8 +65,8 @@ struct SimConfig : ExecConfig {
   /// byte-deterministic. This is how `delc --plan` replays a calibration
   /// profile (docs/PROFILING.md). Takes precedence over replay_costs.
   const std::unordered_map<std::string, Ticks>* fixed_costs = nullptr;
-  /// Cost of operators missing from `fixed_costs` (ignored when
-  /// fixed_costs is null).
+  /// Cost of operators missing from `fixed_costs`, and of invocations
+  /// `replay_costs` has no entry for (ignored when neither is set).
   Ticks fixed_cost_default_ns = 1000;
   /// Watchdog: virtual-time budget in nanoseconds; 0 disables. The
   /// simulated clock is deterministic (with replayed costs), so a

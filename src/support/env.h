@@ -1,15 +1,11 @@
 // Shared parsing for the DELIRIUM_* environment knobs.
 //
-// Every runtime and analysis kill switch used to parse its own getenv()
-// result, each with slightly different (and mostly silent) failure
-// behavior: DELIRIUM_TRACE treated any non-"0" string as on,
-// DELIRIUM_TRACE_CAPACITY swallowed garbage via strtoll, and
-// DELIRIUM_SCHEDULER ignored unknown names outright — so a typo like
-// DELIRIUM_SCHEDULER=work-stealing silently benchmarked the wrong
-// scheduler. PR 4 fixed this for DELIRIUM_INJECT_FAULTS only; these
-// helpers extend the same contract to every knob: a malformed value
-// throws EnvError naming the variable and the offending text, and an
-// unset variable falls back to the caller's default.
+// Every runtime and analysis knob parses its value through these
+// helpers, so all of them keep one contract: a malformed value throws
+// EnvError naming the variable and the offending text — a typo like
+// DELIRIUM_AFFINITY=operater fails loudly instead of silently running
+// the wrong configuration — and an unset variable falls back to the
+// caller's default.
 #pragma once
 
 #include <cstdint>

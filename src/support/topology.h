@@ -7,10 +7,8 @@
 // block's home across a domain boundary pays a fixed cost on top.
 // Topology is a *performance model only* — it may change makespans and
 // scheduler counters, never values, faults, or deterministic traces.
-//
-// The old flat model (ExecConfig::remote_penalty_ns_per_kb) is the
-// degenerate one-worker-per-domain case (`MemoryTopology::flat`), so
-// pre-topology benches reproduce byte-identically.
+// The §9.3 flat charge is the degenerate one-worker-per-domain case,
+// `MemoryTopology::flat`.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +61,8 @@ struct MemoryTopology {
   static MemoryTopology numa2();
   static MemoryTopology numa4();
   static MemoryTopology cluster();
-  /// The degenerate pre-topology model: one domain per worker, every
-  /// other worker remote at `per_kib` ns/KiB, no migration surcharge —
-  /// byte-identical to the old flat remote_penalty_ns_per_kb charge.
+  /// The §9.3 flat model: one domain per worker, every other worker
+  /// remote at `per_kib` ns/KiB, no migration surcharge.
   static MemoryTopology flat(int64_t per_kib);
 };
 

@@ -199,7 +199,7 @@ TEST(SimAffinity, DataAffinityReducesMigrations) {
     SimConfig config;
     config.num_procs = 4;
     config.replay_costs = &costs;
-    config.remote_penalty_ns_per_kb = 1000;
+    config.topology = MemoryTopology::flat(1000);
     config.affinity = affinity;
     SimRuntime sim(reg, config);
     return sim.run(program).stats.remote_block_moves;

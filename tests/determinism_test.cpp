@@ -2,7 +2,7 @@
 // is deterministic ... regardless of the number of processors you are
 // using and the order of execution." These property tests run generated
 // programs and hand-written workloads through the ExecutorFixture
-// matrix — both threaded schedulers × {1, 2, 8} workers plus the
+// matrix — the threaded runtime at {1, 2, 8} workers plus the
 // virtual-time simulator — asserting identical values, counters, and
 // deterministic trace multisets everywhere.
 #include <gtest/gtest.h>
@@ -83,7 +83,7 @@ main() f(12)
   testing::ExecutorFixture plain;
   const int64_t expected = plain.expect_equivalent(source).value_or_rethrow().as_int();
   testing::ExecutorFixture numa;
-  numa.config().remote_penalty_ns_per_kb = 5000;
+  numa.config().topology = MemoryTopology::flat(5000);
   numa.config().affinity = AffinityMode::kData;
   EXPECT_EQ(numa.expect_equivalent(source).value_or_rethrow().as_int(), expected);
 }

@@ -3,8 +3,8 @@
 // caller's default, a well-formed value overrides it, and a malformed
 // value throws EnvError naming the variable and quoting the offending
 // text. The end-to-end cases pin the motivating bug: a typo like
-// DELIRIUM_SCHEDULER=work-stealing must fail loudly, not silently
-// benchmark the wrong scheduler.
+// DELIRIUM_AFFINITY=operater must fail loudly, not silently run the
+// wrong configuration.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -111,22 +111,22 @@ TEST(EnvChoice, ReturnsIndexAndListsSpellingsOnError) {
 // End to end: the knobs consume the shared helpers
 // ---------------------------------------------------------------------------
 
-TEST(EnvKnobs, SchedulerTypoFailsLoudlyAtConstruction) {
-  ScopedEnv env({"DELIRIUM_SCHEDULER"});
+TEST(EnvKnobs, AffinityTypoFailsLoudlyAtConstruction) {
+  ScopedEnv env({"DELIRIUM_AFFINITY"});
   auto reg = testing::builtin_registry();
-  env.set("DELIRIUM_SCHEDULER", "work-stealing");  // the motivating typo
+  env.set("DELIRIUM_AFFINITY", "operater");
   try {
     Runtime runtime(*reg, {.num_workers = 1});
     FAIL() << "expected EnvError";
   } catch (const EnvError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("DELIRIUM_SCHEDULER"), std::string::npos) << what;
-    EXPECT_NE(what.find("'work-stealing'"), std::string::npos) << what;
-    EXPECT_NE(what.find("work_stealing"), std::string::npos) << what;
+    EXPECT_NE(what.find("DELIRIUM_AFFINITY"), std::string::npos) << what;
+    EXPECT_NE(what.find("'operater'"), std::string::npos) << what;
+    EXPECT_NE(what.find("operator"), std::string::npos) << what;
   }
-  env.set("DELIRIUM_SCHEDULER", "global_lock");
+  env.set("DELIRIUM_AFFINITY", "operator");
   Runtime runtime(*reg, {.num_workers = 1});
-  EXPECT_EQ(runtime.config().scheduler, SchedulerKind::kGlobalLock);
+  EXPECT_EQ(runtime.config().affinity, AffinityMode::kOperator);
 }
 
 TEST(EnvKnobs, TraceFlagRejectsGarbage) {

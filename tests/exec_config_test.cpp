@@ -40,7 +40,6 @@ DELIRIUM_EXPECT_SHARED_KNOB(bool, use_priorities);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, cost_hints);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, enable_tail_calls);
 DELIRIUM_EXPECT_SHARED_KNOB(AffinityMode, affinity);
-DELIRIUM_EXPECT_SHARED_KNOB(int64_t, remote_penalty_ns_per_kb);
 DELIRIUM_EXPECT_SHARED_KNOB(MemoryTopology, topology);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, locality_scheduling);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, unique_fastpath);
@@ -49,7 +48,6 @@ DELIRIUM_EXPECT_SHARED_KNOB(int64_t, retry_backoff_ns);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, fail_fast);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, enable_tracing);
 DELIRIUM_EXPECT_SHARED_KNOB(size_t, trace_capacity);
-DELIRIUM_EXPECT_SHARED_KNOB(bool, activation_pool);
 
 #undef DELIRIUM_EXPECT_SHARED_KNOB
 
@@ -73,7 +71,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
   shared.cost_hints = !shared.cost_hints;
   shared.enable_tail_calls = !shared.enable_tail_calls;
   shared.affinity = AffinityMode::kData;
-  shared.remote_penalty_ns_per_kb = 777;
   shared.topology = MemoryTopology::numa2();
   shared.locality_scheduling = !shared.locality_scheduling;
   shared.unique_fastpath = !shared.unique_fastpath;
@@ -82,7 +79,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
   shared.fail_fast = !shared.fail_fast;
   shared.enable_tracing = !shared.enable_tracing;
   shared.trace_capacity = 4096;
-  shared.activation_pool = !shared.activation_pool;
 
   RuntimeConfig rconfig;
   static_cast<ExecConfig&>(rconfig) = shared;
@@ -95,7 +91,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
     EXPECT_EQ(config->cost_hints, shared.cost_hints);
     EXPECT_EQ(config->enable_tail_calls, shared.enable_tail_calls);
     EXPECT_EQ(config->affinity, shared.affinity);
-    EXPECT_EQ(config->remote_penalty_ns_per_kb, shared.remote_penalty_ns_per_kb);
     EXPECT_EQ(config->topology, shared.topology);
     EXPECT_EQ(config->locality_scheduling, shared.locality_scheduling);
     EXPECT_EQ(config->unique_fastpath, shared.unique_fastpath);
@@ -104,7 +99,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
     EXPECT_EQ(config->fail_fast, shared.fail_fast);
     EXPECT_EQ(config->enable_tracing, shared.enable_tracing);
     EXPECT_EQ(config->trace_capacity, shared.trace_capacity);
-    EXPECT_EQ(config->activation_pool, shared.activation_pool);
   }
 }
 

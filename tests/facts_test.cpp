@@ -404,8 +404,8 @@ std::string scrub_digits(const std::string& text) {
 
 /// Compile `source` twice — facts-driven rewrites on and off — and prove
 /// the two programs agree on values, fault behavior, and (digit-scrubbed)
-/// error text everywhere the fixture runs (both executors × both
-/// schedulers × {1, 2, 8} workers); each program additionally proves its
+/// error text everywhere the fixture runs (threaded × {1, 2, 8}
+/// workers, sim × {1, 4} procs); each program additionally proves its
 /// own byte-identical error text and trace-multiset determinism across
 /// the matrix inside expect_equivalent. AST inlining is off so the
 /// cross-function folding under test happens at the graph level, not

@@ -34,7 +34,7 @@ TEST(FaultEquivalence, IdenticalReportAcrossSchedulersWorkerCountsAndSim) {
   testing::ExecutorFixture fixture(*reg);
   fixture.compile_options().optimize = false;
   // The fixture asserts the byte-identical report and fault count across
-  // both schedulers × {1, 2, 8} workers and the simulator at 1/4 procs.
+  // {1, 2, 8} threaded workers and the simulator at 1/4 procs.
   const testing::ExecutorOutcome ref = fixture.expect_equivalent(R"(
     inner(x) boom_a(x)
     main() add(inner(1), boom_b(2))

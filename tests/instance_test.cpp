@@ -75,20 +75,11 @@ std::string shed_message(size_t capacity, uint64_t id) {
          std::to_string(id) + " shed";
 }
 
-/// The threaded schedulers × worker counts the isolation contracts are
-/// swept across (the virtual-time legs construct SimRuntime directly).
-std::vector<std::pair<SchedulerKind, int>> threaded_matrix() {
-  std::vector<std::pair<SchedulerKind, int>> out;
-  for (const SchedulerKind s : {SchedulerKind::kGlobalLock, SchedulerKind::kWorkStealing}) {
-    for (const int w : {1, 2, 8}) out.emplace_back(s, w);
-  }
-  return out;
-}
+/// The threaded worker counts the isolation contracts are swept across
+/// (the virtual-time legs construct SimRuntime directly).
+constexpr int kThreadedWorkers[] = {1, 2, 8};
 
-std::string spec_name(SchedulerKind s, int workers) {
-  return std::string(s == SchedulerKind::kWorkStealing ? "ws" : "gl") +
-         std::to_string(workers);
-}
+std::string spec_name(int workers) { return "threaded" + std::to_string(workers); }
 
 // ---------------------------------------------------------------------------
 // Basics: healthy instances complete with correct values and counters
@@ -225,17 +216,16 @@ TEST(InstanceIsolation, FaultIsContainedAndByteIdenticalToSolo) {
   ASSERT_NE(solo_error.find("coordination stack:"), std::string::npos) << solo_error;
 
   const int64_t args[] = {5, 13, 7, 13, 9};
-  for (const auto& [sched, workers] : threaded_matrix()) {
+  for (const int workers : kThreadedWorkers) {
     RuntimeConfig config;
     config.num_workers = workers;
-    config.scheduler = sched;
     Runtime runtime(*reg, config);
     InstanceManager mgr(runtime);
     for (const int64_t n : args) {
       mgr.submit(req_of(program, "probe", {Value::of(n)}));
     }
     const std::vector<InstanceResult> results = mgr.wait_all();
-    const std::string where = spec_name(sched, workers);
+    const std::string where = spec_name(workers);
     for (size_t i = 0; i < results.size(); ++i) {
       const InstanceResult& r = results[i];
       if (args[i] == 13) {
@@ -276,16 +266,15 @@ TEST(InstanceBudget_, ActivationCeilingIsDeterministicEverywhere) {
   CompiledProgram program = compile_or_throw(kFibSource, *reg);
   const std::string expected = activation_budget_message(4, 1, "fib");
 
-  for (const auto& [sched, workers] : threaded_matrix()) {
+  for (const int workers : kThreadedWorkers) {
     RuntimeConfig config;
     config.num_workers = workers;
-    config.scheduler = sched;
     Runtime runtime(*reg, config);
     InstanceManager mgr(runtime);
     mgr.submit(fib_req(program, 12, {.max_activations = 4}));
     mgr.submit(fib_req(program, 8));
     const std::vector<InstanceResult> results = mgr.wait_all();
-    const std::string where = spec_name(sched, workers);
+    const std::string where = spec_name(workers);
     ASSERT_EQ(results.size(), 2u);
     ASSERT_EQ(results[0].outcome, InstanceOutcome::kBudgetExhausted)
         << where << " " << results[0].error;
@@ -415,10 +404,9 @@ TEST(InstanceAdmission, RejectNewestIsAFunctionOfTheCallSequence) {
   auto reg = testing::builtin_registry();
   CompiledProgram program = compile_noopt("inc(n) add(n, 1)\nmain() inc(1)", *reg);
 
-  for (const auto& [sched, workers] : threaded_matrix()) {
+  for (const int workers : kThreadedWorkers) {
     RuntimeConfig config;
     config.num_workers = workers;
-    config.scheduler = sched;
     Runtime runtime(*reg, config);
     InstanceManagerConfig mconfig;
     mconfig.admission_capacity = 2;
@@ -428,7 +416,7 @@ TEST(InstanceAdmission, RejectNewestIsAFunctionOfTheCallSequence) {
     for (int64_t n = 0; n < 4; ++n) {
       mgr.submit(req_of(program, "inc", {Value::of(n)}));
     }
-    const std::string where = spec_name(sched, workers);
+    const std::string where = spec_name(workers);
     const std::vector<InstanceResult> results = mgr.wait_all();
     ASSERT_EQ(results.size(), 4u);
     for (uint64_t id = 1; id <= 2; ++id) {
@@ -500,57 +488,45 @@ TEST(InstanceReuse, RuntimeReusableAfterWatchdogCancellation) {
   CompiledProgram slow = compile_or_throw("main() sleepy2(nap2())", *reg);
   CompiledProgram fibp = compile_or_throw(kFibSource, *reg);
 
-  for (const SchedulerKind sched :
-       {SchedulerKind::kGlobalLock, SchedulerKind::kWorkStealing}) {
-    RuntimeConfig config;
-    config.num_workers = 2;
-    config.scheduler = sched;
-    config.watchdog_budget_ms = 40;
-    Runtime runtime(*reg, config);
-    EXPECT_THROW(runtime.run(slow), RuntimeError) << spec_name(sched, 2);
-    EXPECT_EQ(runtime.last_stats().watchdog_fires, 1u) << spec_name(sched, 2);
-    // A whole manager session works on the cancelled machine...
-    {
-      InstanceManager mgr(runtime);
-      mgr.submit(fib_req(fibp, 9));
-      mgr.submit(fib_req(fibp, 10));
-      const std::vector<InstanceResult> results = mgr.wait_all();
-      ASSERT_EQ(results[0].outcome, InstanceOutcome::kCompleted) << results[0].error;
-      EXPECT_EQ(results[0].value.as_int(), fib(9));
-      ASSERT_EQ(results[1].outcome, InstanceOutcome::kCompleted) << results[1].error;
-      EXPECT_EQ(results[1].value.as_int(), fib(10));
-    }
-    // ...and so does a plain run after the session (watchdog still armed).
-    EXPECT_EQ(runtime.run_function(fibp, "fib", {Value::of(int64_t{7})}).as_int(),
-              fib(7))
-        << spec_name(sched, 2);
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.watchdog_budget_ms = 40;
+  Runtime runtime(*reg, config);
+  EXPECT_THROW(runtime.run(slow), RuntimeError);
+  EXPECT_EQ(runtime.last_stats().watchdog_fires, 1u);
+  // A whole manager session works on the cancelled machine...
+  {
+    InstanceManager mgr(runtime);
+    mgr.submit(fib_req(fibp, 9));
+    mgr.submit(fib_req(fibp, 10));
+    const std::vector<InstanceResult> results = mgr.wait_all();
+    ASSERT_EQ(results[0].outcome, InstanceOutcome::kCompleted) << results[0].error;
+    EXPECT_EQ(results[0].value.as_int(), fib(9));
+    ASSERT_EQ(results[1].outcome, InstanceOutcome::kCompleted) << results[1].error;
+    EXPECT_EQ(results[1].value.as_int(), fib(10));
   }
+  // ...and so does a plain run after the session (watchdog still armed).
+  EXPECT_EQ(runtime.run_function(fibp, "fib", {Value::of(int64_t{7})}).as_int(), fib(7));
 }
 
 TEST(InstanceReuse, RuntimeReusableAfterAdmissionShed) {
   ScopedEnv env({"DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES"});
   auto reg = testing::builtin_registry();
   CompiledProgram program = compile_or_throw(kFibSource, *reg);
-  for (const SchedulerKind sched :
-       {SchedulerKind::kGlobalLock, SchedulerKind::kWorkStealing}) {
-    RuntimeConfig config;
-    config.num_workers = 2;
-    config.scheduler = sched;
-    Runtime runtime(*reg, config);
-    {
-      InstanceManagerConfig mconfig;
-      mconfig.admission_capacity = 1;
-      InstanceManager mgr(runtime, mconfig);
-      mgr.submit(fib_req(program, 8));
-      mgr.submit(fib_req(program, 8));  // shed
-      const std::vector<InstanceResult> results = mgr.wait_all();
-      EXPECT_EQ(results[0].outcome, InstanceOutcome::kCompleted);
-      EXPECT_EQ(results[1].outcome, InstanceOutcome::kOverload);
-    }
-    EXPECT_EQ(runtime.run_function(program, "fib", {Value::of(int64_t{8})}).as_int(),
-              fib(8))
-        << spec_name(sched, 2);
+  RuntimeConfig config;
+  config.num_workers = 2;
+  Runtime runtime(*reg, config);
+  {
+    InstanceManagerConfig mconfig;
+    mconfig.admission_capacity = 1;
+    InstanceManager mgr(runtime, mconfig);
+    mgr.submit(fib_req(program, 8));
+    mgr.submit(fib_req(program, 8));  // shed
+    const std::vector<InstanceResult> results = mgr.wait_all();
+    EXPECT_EQ(results[0].outcome, InstanceOutcome::kCompleted);
+    EXPECT_EQ(results[1].outcome, InstanceOutcome::kOverload);
   }
+  EXPECT_EQ(runtime.run_function(program, "fib", {Value::of(int64_t{8})}).as_int(), fib(8));
 }
 
 TEST(InstanceReuse, SimReusableAfterWatchdogAndManagerSession) {
@@ -667,35 +643,27 @@ TEST(InstanceChaos, SoakMatchesSoloByteForByteAcrossExecutors) {
       return out;
     };
 
-    const std::vector<SoakOutcome> gl = run_config([&] {
+    const std::vector<SoakOutcome> threaded = run_config([&] {
       RuntimeConfig c;
       c.num_workers = 8;
-      c.scheduler = SchedulerKind::kGlobalLock;
-      return std::make_unique<Runtime>(*reg, c);
-    });
-    const std::vector<SoakOutcome> ws = run_config([&] {
-      RuntimeConfig c;
-      c.num_workers = 8;
-      c.scheduler = SchedulerKind::kWorkStealing;
       return std::make_unique<Runtime>(*reg, c);
     });
     const std::vector<SoakOutcome> sim = run_config([&] {
       return std::make_unique<SimRuntime>(*reg, SimConfig{});
     });
 
-    ASSERT_EQ(gl.size(), static_cast<size_t>(kInstances));
+    ASSERT_EQ(threaded.size(), static_cast<size_t>(kInstances));
+    ASSERT_EQ(sim.size(), static_cast<size_t>(kInstances));
     for (int i = 0; i < kInstances; ++i) {
       const uint64_t id = static_cast<uint64_t>(i) + 1;
       const std::string where = "seed " + std::to_string(seed) + " instance " +
                                 std::to_string(id) + " (class " + std::to_string(i % 3) +
                                 ")";
-      // Every config reports the identical outcome bytes.
-      EXPECT_TRUE(ws[i] == gl[i])
-          << where << "\n gl: " << gl[i].text << "\n ws: " << ws[i].text;
-      EXPECT_TRUE(sim[i] == gl[i])
-          << where << "\n gl: " << gl[i].text << "\n sim: " << sim[i].text;
+      // Both executors report the identical outcome bytes.
+      EXPECT_TRUE(sim[i] == threaded[i])
+          << where << "\n threaded: " << threaded[i].text << "\n sim: " << sim[i].text;
 
-      const SoakOutcome& r = gl[i];
+      const SoakOutcome& r = threaded[i];
       if (id > kCapacity) {
         EXPECT_EQ(r.outcome, InstanceOutcome::kOverload) << where;
         EXPECT_EQ(r.text, shed_message(kCapacity, id)) << where;

@@ -176,7 +176,7 @@ TEST(Integration, NumaPenaltyOnThreadedRuntimeStaysCorrect) {
   CompiledProgram program = compile_or_throw(grid::grid_source(gp), registry);
   RuntimeConfig config{.num_workers = 2};
   config.affinity = AffinityMode::kData;
-  config.remote_penalty_ns_per_kb = 100;
+  config.topology = MemoryTopology::flat(100);
   Runtime runtime(registry, config);
   EXPECT_EQ(runtime.run(program).block_as<grid::Grid>().rows,
             grid::sequential_run(gp).rows);

@@ -270,22 +270,6 @@ Ticks fixed_cost_makespan(const OperatorRegistry& reg, const CompiledProgram& pr
   return sim.run(program).makespan;
 }
 
-TEST(LocalityCost, LegacyFlatPenaltyReproducesByteIdentically) {
-  // remote_penalty_ns_per_kb with a default topology must mean exactly
-  // MemoryTopology::flat(penalty): same virtual makespan to the tick.
-  auto reg = locality_registry();
-  const CompiledProgram program = compile_or_throw(kBlockJoin, *reg);
-  SimConfig legacy;
-  legacy.remote_penalty_ns_per_kb = 1000;
-  SimConfig explicit_flat;
-  explicit_flat.topology = MemoryTopology::flat(1000);
-  EXPECT_EQ(fixed_cost_makespan(*reg, program, legacy),
-            fixed_cost_makespan(*reg, program, explicit_flat));
-  // And the penalty actually costs something versus UMA.
-  EXPECT_GT(fixed_cost_makespan(*reg, program, legacy),
-            fixed_cost_makespan(*reg, program, SimConfig{}));
-}
-
 TEST(LocalityCost, SimCountsRemotePullsAndBytesUnderMultiDomainTopology) {
   auto reg = locality_registry();
   const CompiledProgram program = compile_or_throw(kBlockJoin, *reg);
@@ -317,7 +301,6 @@ TEST(LocalityCost, ThreadedStealSplitSumsToTotalSteals) {
        {MemoryTopology::uma(), MemoryTopology::numa2(), MemoryTopology::flat(0)}) {
     RuntimeConfig config;
     config.num_workers = 4;
-    config.scheduler = SchedulerKind::kWorkStealing;
     config.topology = topo;
     Runtime runtime(*reg, config);
     runtime.run(program);
@@ -327,8 +310,12 @@ TEST(LocalityCost, ThreadedStealSplitSumsToTotalSteals) {
     // The split is keyed off the victim's actual domain: under one
     // domain every steal is local; under per-worker domains every
     // cross-worker steal is remote.
-    if (topo.single_domain()) EXPECT_EQ(s.sched_remote_steals, 0u);
-    if (topo.num_domains == 0) EXPECT_EQ(s.sched_local_steals, 0u);
+    if (topo.single_domain()) {
+      EXPECT_EQ(s.sched_remote_steals, 0u);
+    }
+    if (topo.num_domains == 0) {
+      EXPECT_EQ(s.sched_local_steals, 0u);
+    }
   }
 }
 

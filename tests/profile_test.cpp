@@ -30,9 +30,8 @@ constexpr std::initializer_list<const char*> kProfileEnv = {
     "DELIRIUM_GRAPH_FACTS", "DELIRIUM_FACTS_FOLD",  "DELIRIUM_FACTS_DEADPARAM",
     "DELIRIUM_FACTS_STRAND", "DELIRIUM_FACTS_SOLE", "DELIRIUM_FACTS_FUSE",
     "DELIRIUM_FACTS_TUPLES", "DELIRIUM_SCHED_HINTS", "DELIRIUM_COST_HINTS",
-    "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",    "DELIRIUM_SCHEDULER",
-    "DELIRIUM_EXECUTOR",      "DELIRIUM_TRACE",      "DELIRIUM_TRACE_CAPACITY",
-    "DELIRIUM_ACTIVATION_POOL"};
+    "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",    "DELIRIUM_EXECUTOR",
+    "DELIRIUM_TRACE",         "DELIRIUM_TRACE_CAPACITY"};
 
 OperatorRegistry& registry() {
   static OperatorRegistry* reg = [] {
@@ -413,21 +412,20 @@ TEST(Plan, DelcPlanBytesSurviveSchedulerExecutorAndRecompiles) {
   const std::string delc = DELIRIUM_DELC_PATH;
   const std::string base = delc + " --plan --profile-in " + profile +
                            " --format json " + program + " 2>/dev/null";
-  const std::string hermetic = "env -u DELIRIUM_SCHEDULER -u DELIRIUM_EXECUTOR ";
+  const std::string hermetic = "env -u DELIRIUM_EXECUTOR ";
   auto [ref_status, ref] = run_command(hermetic + base);
   ASSERT_EQ(ref_status, 0);
   ASSERT_NE(ref.find("\"schema\": \"delirium.plan\""), std::string::npos) << ref;
 
-  // Recompile (same invocation), scheduler/worker flags, threaded
-  // executor, and the scheduler env knob: none may move a byte.
+  // Recompile (same invocation), the worker flag, the threaded executor
+  // by flag and by env knob: none may move a byte.
   const std::string perturbed[] = {
       hermetic + base,
-      hermetic + delc + " --plan --profile-in " + profile +
-          " --format json --scheduler global_lock --workers 7 " + program +
-          " 2>/dev/null",
+      hermetic + delc + " --plan --profile-in " + profile + " --format json --workers 7 " +
+          program + " 2>/dev/null",
       hermetic + delc + " --plan --profile-in " + profile +
           " --format json --executor threaded " + program + " 2>/dev/null",
-      "env -u DELIRIUM_EXECUTOR DELIRIUM_SCHEDULER=global_lock " + base,
+      "env DELIRIUM_EXECUTOR=threaded " + base,
   };
   for (const std::string& cmd : perturbed) {
     auto [status, out] = run_command(cmd);

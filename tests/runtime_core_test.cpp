@@ -1,7 +1,7 @@
 // End-to-end tests of the core language constructs: atomic values,
 // multiple values, let bindings, conditionals, and application. Every
-// evaluation runs through the ExecutorFixture matrix (both threaded
-// schedulers × {1, 2, 8} workers + the virtual-time simulator), so each
+// evaluation runs through the ExecutorFixture matrix (threaded × {1, 2,
+// 8} workers + the virtual-time simulator), so each
 // core construct is checked for cross-executor equivalence too.
 #include <gtest/gtest.h>
 

@@ -139,18 +139,10 @@ TEST(Stress, OperatorRegisteredAfterRuntimeConstructionRunsWithoutAffinity) {
   RuntimeConfig config;
   config.num_workers = 2;
   config.affinity = AffinityMode::kOperator;
-  for (const SchedulerKind scheduler :
-       {SchedulerKind::kGlobalLock, SchedulerKind::kWorkStealing}) {
-    config.scheduler = scheduler;
-    Runtime runtime(reg, config);  // affinity table sized here
-    const std::string name =
-        scheduler == SchedulerKind::kGlobalLock ? "late_gl" : "late_ws";
-    reg.add(name, 1, [](OpContext& ctx) { return Value::of(ctx.arg_int(0) * 3); })
-        .pure();
-    CompiledProgram program =
-        compile_or_throw("main() " + name + "(add(" + name + "(5), 2))", reg);
-    EXPECT_EQ(runtime.run(program).as_int(), 51);
-  }
+  Runtime runtime(reg, config);  // affinity table sized here
+  reg.add("late", 1, [](OpContext& ctx) { return Value::of(ctx.arg_int(0) * 3); }).pure();
+  CompiledProgram program = compile_or_throw("main() late(add(late(5), 2))", reg);
+  EXPECT_EQ(runtime.run(program).as_int(), 51);
 }
 
 TEST(Registry, RejectsDuplicateOperators) {

@@ -1,15 +1,14 @@
-// Scheduler equivalence: the work-stealing scheduler must compute
-// exactly what the global-lock scheduler computes. Determinism in
-// Delirium is about *values*, not schedules — so every example program
-// and stress workload runs through the ExecutorFixture matrix
-// (both schedulers × {1, 2, 8} workers, plus the virtual-time
-// simulator) × all three affinity modes, asserting identical results,
+// Scheduler equivalence: the work-stealing runtime must compute exactly
+// what the virtual-time simulator computes, at every worker count.
+// Determinism in Delirium is about *values*, not schedules — so every
+// example program and stress workload runs through the ExecutorFixture
+// matrix (threaded × {1, 2, 8} workers, plus the simulator at 1/4
+// procs) × all three affinity modes, asserting identical results,
 // identical graph-determined counters, and equal deterministic trace
 // multisets (all functions of the coordination graph alone, not of the
 // schedule).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -75,15 +74,6 @@ std::vector<Workload> workloads() {
   };
 }
 
-/// The DELIRIUM_SCHEDULER env var (used by the TSan CI job to force the
-/// work-stealing scheduler) overrides RuntimeConfig::scheduler, so
-/// tests that assert mode-specific counters cannot run under a
-/// conflicting override.
-bool env_overrides_scheduler(const char* wanted) {
-  const char* env = std::getenv("DELIRIUM_SCHEDULER");
-  return env != nullptr && std::string(env) != wanted;
-}
-
 std::string affinity_name(const ::testing::TestParamInfo<AffinityMode>& info) {
   switch (info.param) {
     case AffinityMode::kNone: return "NoAffinity";
@@ -95,11 +85,10 @@ std::string affinity_name(const ::testing::TestParamInfo<AffinityMode>& info) {
 
 class SchedulerEquivalence : public ::testing::TestWithParam<AffinityMode> {};
 
-TEST_P(SchedulerEquivalence, AllExecutorsMatchTheGlobalLockReference) {
-  // The fixture's reference is global-lock × 1 worker (the original
-  // scheduler); every other matrix entry — work stealing at 1/2/8
-  // workers, global lock at 2/8, the simulator at 1/4 procs — must
-  // produce the same values, counters, and trace multisets.
+TEST_P(SchedulerEquivalence, AllExecutorsMatchTheOneWorkerReference) {
+  // The fixture's reference is the threaded runtime at 1 worker; every
+  // other matrix entry — 2 and 8 workers, the simulator at 1/4 procs —
+  // must produce the same values, counters, and trace multisets.
   testing::ExecutorFixture fixture;
   fixture.config().affinity = GetParam();
   for (const Workload& w : workloads()) {
@@ -114,9 +103,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, SchedulerEquivalence,
                          affinity_name);
 
 TEST(SchedulerStats, WorkStealingCountersAreCoherent) {
-  if (env_overrides_scheduler("work_stealing")) {
-    GTEST_SKIP() << "DELIRIUM_SCHEDULER forces a different scheduler";
-  }
   auto reg = testing::builtin_registry();
   CompiledProgram program =
       compile_or_throw("work(x) add(mul(x, x), 1)\n"
@@ -129,7 +115,6 @@ TEST(SchedulerStats, WorkStealingCountersAreCoherent) {
                        *reg);
   RuntimeConfig config;
   config.num_workers = 4;
-  config.scheduler = SchedulerKind::kWorkStealing;
   Runtime runtime(*reg, config);
   runtime.run(program);
   const RunStats& s = runtime.last_stats();
@@ -137,23 +122,6 @@ TEST(SchedulerStats, WorkStealingCountersAreCoherent) {
   EXPECT_EQ(s.sched_local_enqueues + s.sched_injected_enqueues, s.nodes_executed);
   // The run begins with an injection from the caller thread.
   EXPECT_GE(s.sched_injected_enqueues, 1u);
-}
-
-TEST(SchedulerStats, GlobalLockReportsAllEnqueuesLocal) {
-  if (env_overrides_scheduler("global_lock")) {
-    GTEST_SKIP() << "DELIRIUM_SCHEDULER forces a different scheduler";
-  }
-  auto reg = testing::builtin_registry();
-  CompiledProgram program = compile_or_throw("main() add(1, 2)", *reg);
-  RuntimeConfig config;
-  config.num_workers = 2;
-  config.scheduler = SchedulerKind::kGlobalLock;
-  Runtime runtime(*reg, config);
-  runtime.run(program);
-  const RunStats& s = runtime.last_stats();
-  EXPECT_EQ(s.sched_local_enqueues, s.nodes_executed);
-  EXPECT_EQ(s.sched_injected_enqueues, 0u);
-  EXPECT_EQ(s.sched_steals, 0u);
 }
 
 }  // namespace

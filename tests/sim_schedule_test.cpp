@@ -41,13 +41,12 @@ using testing::ScopedEnv;
 /// cleared so suite-wide CI exports (fault injection, topology, ...)
 /// cannot reach the golden configurations.
 constexpr std::initializer_list<const char*> kScheduleEnv = {
-    "DELIRIUM_GRAPH_FACTS",  "DELIRIUM_FACTS_FOLD",     "DELIRIUM_FACTS_DEADPARAM",
-    "DELIRIUM_FACTS_STRAND", "DELIRIUM_FACTS_SOLE",     "DELIRIUM_FACTS_FUSE",
-    "DELIRIUM_FACTS_TUPLES", "DELIRIUM_SCHED_HINTS",    "DELIRIUM_COST_HINTS",
-    "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",       "DELIRIUM_SCHEDULER",
-    "DELIRIUM_EXECUTOR",     "DELIRIUM_TRACE",          "DELIRIUM_TRACE_CAPACITY",
-    "DELIRIUM_ACTIVATION_POOL", "DELIRIUM_AFFINITY",    "DELIRIUM_TOPOLOGY",
-    "DELIRIUM_LOCALITY"};
+    "DELIRIUM_GRAPH_FACTS",   "DELIRIUM_FACTS_FOLD",  "DELIRIUM_FACTS_DEADPARAM",
+    "DELIRIUM_FACTS_STRAND",  "DELIRIUM_FACTS_SOLE",  "DELIRIUM_FACTS_FUSE",
+    "DELIRIUM_FACTS_TUPLES",  "DELIRIUM_SCHED_HINTS", "DELIRIUM_COST_HINTS",
+    "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",     "DELIRIUM_EXECUTOR",
+    "DELIRIUM_TRACE",         "DELIRIUM_TRACE_CAPACITY", "DELIRIUM_AFFINITY",
+    "DELIRIUM_TOPOLOGY",      "DELIRIUM_LOCALITY"};
 
 OperatorRegistry& registry() {
   static OperatorRegistry* reg = [] {

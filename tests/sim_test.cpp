@@ -2,6 +2,12 @@
 // runtime, makespan properties, cost replay, and the NUMA model.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "src/apps/dcc/program_gen.h"
 #include "src/delirium.h"
 #include "src/runtime/sim.h"
@@ -130,6 +136,50 @@ TEST(Sim, CalibrationCoversEveryOperatorInvocation) {
   EXPECT_EQ(costs.per_op.at("add").size(), 1u);
 }
 
+TEST(Sim, ReplayPastItsTableChargesTheDefaultCost) {
+  // An operator missing from the replay table, or invoked past the end
+  // of its row, costs fixed_cost_default_ns rather than its measured
+  // wall time, so a short table still replays deterministically.
+  CompileOptions no_opt;
+  no_opt.optimize = false;
+  CompiledProgram program = compile_or_throw(
+      "fib(n) if less_than(n, 2) then n else add(fib(sub(n, 1)), fib(sub(n, 2)))\n"
+      "main() fib(8)\n",
+      registry(), no_opt);
+  using Event = std::tuple<int64_t, uint64_t, int64_t, int32_t, int16_t, TraceEventKind>;
+  auto run = [&](SimConfig config) {
+    config.num_procs = 3;
+    config.enable_tracing = true;
+    config.fixed_cost_default_ns = 700;
+    SimRuntime sim(registry(), config);
+    const Ticks makespan = sim.run(program).makespan;
+    std::vector<Event> trace;
+    for (const TraceEvent& e : sim.trace_events()) {
+      trace.emplace_back(e.ts, e.seq, e.arg, e.op, e.worker, e.kind);
+    }
+    return std::make_pair(makespan, trace);
+  };
+
+  const CostTable empty;
+  const std::unordered_map<std::string, Ticks> no_fixed_costs;
+  SimConfig replay_empty;
+  replay_empty.replay_costs = &empty;
+  SimConfig fixed_default;
+  fixed_default.fixed_costs = &no_fixed_costs;
+  const auto replayed = run(replay_empty);
+  const auto fixed = run(fixed_default);
+  EXPECT_EQ(replayed.first, fixed.first);
+  EXPECT_EQ(replayed.second, fixed.second);
+
+  // Every row cut in half: the second half of each operator's calls runs
+  // past its row.
+  CostTable truncated = calibrate_costs(registry(), program, 1);
+  for (auto& [op, row] : truncated.per_op) row.resize(row.size() / 2);
+  SimConfig replay_truncated;
+  replay_truncated.replay_costs = &truncated;
+  EXPECT_EQ(run(replay_truncated).first, run(replay_truncated).first);
+}
+
 TEST(Sim, NumaModelChargesRemoteTouches) {
   OperatorRegistry reg;
   register_builtin_operators(reg);
@@ -149,7 +199,7 @@ main()
                                              reg);
   SimConfig config;
   config.num_procs = 2;
-  config.remote_penalty_ns_per_kb = 1000;
+  config.topology = MemoryTopology::flat(1000);
   SimRuntime sim(reg, config);
   SimResult with_numa = sim.run(program);
   EXPECT_GE(with_numa.stats.remote_block_moves, 1u);
@@ -157,7 +207,7 @@ main()
 
   // The same program with no penalty reports no moves.
   SimConfig uma = config;
-  uma.remote_penalty_ns_per_kb = 0;
+  uma.topology = MemoryTopology::uma();
   SimRuntime sim_uma(reg, uma);
   EXPECT_EQ(sim_uma.run(program).stats.remote_block_moves, 0u);
 }

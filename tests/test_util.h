@@ -87,14 +87,12 @@ struct ExecutorSpec {
   enum class Kind { kThreaded, kSim };
   Kind kind = Kind::kThreaded;
   int workers = 1;  // worker threads / virtual processors
-  SchedulerKind scheduler = SchedulerKind::kGlobalLock;  // threaded only
   /// Overrides the fixture-wide ExecConfig::affinity when set.
   std::optional<AffinityMode> affinity;
 
   std::string name() const {
     if (kind == Kind::kSim) return "sim_procs" + std::to_string(workers);
-    std::string n = scheduler == SchedulerKind::kWorkStealing ? "ws" : "gl";
-    n += std::to_string(workers);
+    std::string n = "threaded" + std::to_string(workers);
     if (affinity.has_value()) {
       switch (*affinity) {
         case AffinityMode::kNone: break;
@@ -129,13 +127,13 @@ struct ExecutorOutcome {
 };
 
 /// Runs any program across the executor matrix — by default
-/// {threaded × {global-lock, work-stealing} × {1, 2, 8} workers,
-/// sim × {1, 4} procs} — and asserts the parts of the outcome that are
-/// functions of the coordination graph alone: deep-equal values,
-/// byte-identical error reports, identical graph-determined counters,
-/// and equal deterministic trace multisets. Schedule-dependent numbers
-/// (peak liveness, CoW hits, steals/parks, pool recycling, purge counts
-/// on cancelled runs) are deliberately not compared.
+/// {threaded × {1, 2, 8} workers, sim × {1, 4} procs} — and asserts
+/// the parts of the outcome that are functions of the coordination
+/// graph alone: deep-equal values, byte-identical error reports,
+/// identical graph-determined counters, and equal deterministic trace
+/// multisets. Schedule-dependent numbers (peak liveness, CoW hits,
+/// steals/parks, pool recycling, purge counts on cancelled runs) are
+/// deliberately not compared.
 ///
 /// Shared knobs set on config() apply to every executor, so a test can
 /// sweep e.g. affinity or retry policy across the whole matrix.
@@ -152,11 +150,8 @@ class ExecutorFixture {
 
   static std::vector<ExecutorSpec> default_matrix() {
     std::vector<ExecutorSpec> specs;
-    for (const SchedulerKind scheduler :
-         {SchedulerKind::kGlobalLock, SchedulerKind::kWorkStealing}) {
-      for (const int workers : {1, 2, 8}) {
-        specs.push_back({ExecutorSpec::Kind::kThreaded, workers, scheduler, {}});
-      }
+    for (const int workers : {1, 2, 8}) {
+      specs.push_back({ExecutorSpec::Kind::kThreaded, workers, {}});
     }
     specs.push_back({ExecutorSpec::Kind::kSim, 1});
     specs.push_back({ExecutorSpec::Kind::kSim, 4});
@@ -188,7 +183,6 @@ class ExecutorFixture {
       RuntimeConfig config;
       static_cast<ExecConfig&>(config) = shared_;
       config.num_workers = spec.workers;
-      config.scheduler = spec.scheduler;
       if (spec.affinity.has_value()) config.affinity = *spec.affinity;
       config.enable_tracing = true;
       config.trace_capacity = kTraceCapacity;

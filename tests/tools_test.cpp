@@ -150,10 +150,9 @@ TEST(Cli, HelpNamesEveryDocumentedFlag) {
     EXPECT_TRUE(help_flags.count(flag)) << flag << " missing from delc --help";
   }
   // The env knobs must be documented alongside the flags.
-  for (const char* env : {"DELIRIUM_EXECUTOR", "DELIRIUM_SCHEDULER",
-                          "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",
-                          "DELIRIUM_TRACE", "DELIRIUM_TRACE_CAPACITY",
-                          "DELIRIUM_ACTIVATION_POOL"}) {
+  for (const char* env : {"DELIRIUM_EXECUTOR", "DELIRIUM_INJECT_FAULTS",
+                          "DELIRIUM_RETRIES", "DELIRIUM_TRACE",
+                          "DELIRIUM_TRACE_CAPACITY"}) {
     EXPECT_NE(cli_md.find(env), std::string::npos) << env << " missing from docs/CLI.md";
     EXPECT_NE(help.find(env), std::string::npos) << env << " missing from delc --help";
   }
@@ -209,7 +208,7 @@ TEST(Cli, ExecutorFlagSelectsEngine) {
 
 TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   // The fact table is a pure function of (program, operator table):
-  // scheduler choice, worker counts, and executor env must not move a
+  // scheduling knobs, worker counts, and executor env must not move a
   // byte of the --analyze report.
   const std::string program = ::testing::TempDir() + "/delc_analyze_test.dlr";
   {
@@ -222,19 +221,19 @@ TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   const std::string delc = std::string(DELIRIUM_DELC_PATH);
   const std::string base = " " + delc + " --analyze --format json --no-opt " + program;
 
-  auto [ref_status, ref] = run_command("env -u DELIRIUM_SCHEDULER " + base);
+  auto [ref_status, ref] = run_command("env -u DELIRIUM_AFFINITY " + base);
   EXPECT_EQ(ref_status, 0);
   EXPECT_NE(ref.find("\"facts\""), std::string::npos) << ref;
   for (const char* env :
-       {"DELIRIUM_SCHEDULER=global_lock", "DELIRIUM_SCHEDULER=work_stealing",
-        "DELIRIUM_EXECUTOR=sim", "DELIRIUM_COST_HINTS=0"}) {
+       {"DELIRIUM_AFFINITY=operator", "DELIRIUM_AFFINITY=data", "DELIRIUM_EXECUTOR=sim",
+        "DELIRIUM_COST_HINTS=0"}) {
     auto [status, out] = run_command("env " + std::string(env) + base);
     EXPECT_EQ(status, 0) << env;
     EXPECT_EQ(out, ref) << env;
   }
 
   // Text mode goes through the same facts table; spot-check its sections.
-  auto [text_status, text] = run_command("env -u DELIRIUM_SCHEDULER " + delc +
+  auto [text_status, text] = run_command("env -u DELIRIUM_AFFINITY " + delc +
                                          " --analyze --no-opt " + program);
   EXPECT_EQ(text_status, 0);
   EXPECT_NE(text.find("analysis: template 'main'"), std::string::npos) << text;

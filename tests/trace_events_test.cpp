@@ -26,8 +26,8 @@ using tools::deterministic_event_multiset;
 // Every env knob the tracer or the runs below honor, so the suite stays
 // hermetic under CI jobs that export them.
 ScopedEnv hermetic_env() {
-  return ScopedEnv({"DELIRIUM_TRACE", "DELIRIUM_TRACE_CAPACITY", "DELIRIUM_SCHEDULER",
-                    "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES"});
+  return ScopedEnv({"DELIRIUM_TRACE", "DELIRIUM_TRACE_CAPACITY", "DELIRIUM_INJECT_FAULTS",
+                    "DELIRIUM_RETRIES"});
 }
 
 const char* kFanProgram = R"(
@@ -205,15 +205,11 @@ TEST(TraceEvents, SimAndThreadedAgreeOnCleanRun) {
   ASSERT_FALSE(sim3.empty());
   EXPECT_EQ(sim3, sim_multiset(program, *reg, 1));
 
-  for (int workers : {1, 4}) {
+  for (int workers : {1, 2, 4}) {
     const std::vector<std::string> threaded =
         deterministic_event_multiset(threaded_trace(program, *reg, workers), *reg);
     EXPECT_EQ(sim3, threaded) << "workers=" << workers;
   }
-  RuntimeConfig global_lock;
-  global_lock.scheduler = SchedulerKind::kGlobalLock;
-  EXPECT_EQ(sim3, deterministic_event_multiset(
-                      threaded_trace(program, *reg, 2, global_lock), *reg));
 }
 
 TEST(TraceEvents, SimAndThreadedAgreeUnderInjectedFaultsWithRetries) {
