@@ -4,10 +4,11 @@
 // with 3 processors performing almost exactly like 2 (four equal tasks:
 // one processor does two of them).
 //
-// Host substitution: this machine has one core, so processors are
-// simulated in virtual time (SimRuntime). Operators execute for real;
-// per-invocation costs are calibrated once (median of 3 single-processor
-// runs) and replayed, so the curves are deterministic. See DESIGN.md.
+// Host substitution: the paper's processor counts are simulated in
+// virtual time (SimRuntime), so the curve does not depend on the host's
+// hardware threads. Operators execute for real; per-invocation costs
+// are calibrated once (median of 3 single-processor runs) and replayed,
+// so the curves are deterministic. See DESIGN.md.
 #include <cstdio>
 #include <iostream>
 

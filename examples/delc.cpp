@@ -46,14 +46,14 @@
 //                     instance and reports "budget_exhausted"
 //     --sim N         instead of --run, execute under virtual time on N
 //                     simulated processors and report the makespan
-//     --trace FILE    with --run or --sim: write the operator timeline as
-//                     Chrome tracing JSON (chrome://tracing, Perfetto)
 //     --trace-events FILE
 //                     with --run or --sim: record the full trace event
 //                     stream (operator, scheduler, and fault events) and
-//                     write it as Chrome tracing JSON
+//                     write it as Chrome tracing JSON (chrome://tracing,
+//                     Perfetto)
 //     --metrics FILE  with --run or --sim: write RunStats counters and
-//                     per-operator duration histograms
+//                     per-operator duration histograms (forces event
+//                     tracing on)
 //     --metrics-format json|prom
 //                     format for --metrics (default json)
 //     --profile-out FILE
@@ -95,8 +95,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/delirium.h"
 #include "src/lang/macro.h"
@@ -152,10 +154,10 @@ void print_usage(std::FILE* out) {
       "  --instance-budget acts=<n>,ms=<m>\n"
       "                            per-instance ceilings (either part optional);\n"
       "                            exceeding one cancels only that instance\n"
-      "  --trace FILE              write the operator timeline as Chrome tracing JSON\n"
       "  --trace-events FILE       record and write the full trace event stream\n"
       "                            (operator, scheduler, and fault events)\n"
       "  --metrics FILE            write RunStats counters and per-operator histograms\n"
+      "                            (forces event tracing)\n"
       "  --metrics-format json|prom\n"
       "                            format for --metrics (default json)\n"
       "  --profile-out FILE        write the run's per-operator cost histograms as a\n"
@@ -185,7 +187,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string path;
-  std::string trace_path;
   std::string trace_events_path;
   std::string metrics_path;
   std::string metrics_format = "json";
@@ -236,7 +237,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     else if (arg == "--sim" && i + 1 < argc) sim_procs = std::atoi(argv[++i]);
-    else if (arg == "--trace" && i + 1 < argc) trace_path = argv[++i];
     else if (arg == "--trace-events" && i + 1 < argc) trace_events_path = argv[++i];
     else if (arg == "--metrics" && i + 1 < argc) metrics_path = argv[++i];
     else if (arg == "--metrics-format" && i + 1 < argc) {
@@ -500,6 +500,11 @@ int main(int argc, char** argv) {
   // main() N times to one shared machine and report per-instance
   // outcomes. Exit 1 only when *no* instance completed — faults, budget
   // kills, and shed requests are contained, structured outcomes.
+  // The machine publishes an instance session's counters and trace only
+  // when its InstanceManager closes; these keep the manager's own
+  // tallies for the report written after that.
+  std::optional<delirium::InstanceCounters> session_counters;
+  std::vector<int64_t> session_latencies;
   auto run_instance_mode = [&](delirium::InstanceManager& mgr) -> int {
     for (int k = 0; k < instances; ++k) {
       delirium::InstanceRequest req;
@@ -529,15 +534,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(c.faulted),
         static_cast<unsigned long long>(c.budget_killed),
         static_cast<unsigned long long>(c.shed));
-    if (stats) delirium::tools::print_run_stats(std::cout, mgr.stats());
-    if (!metrics_path.empty()) {
-      delirium::tools::MetricsRegistry metrics;
-      metrics.observe_run(mgr.stats(), {});
-      metrics.observe_instances(c, mgr.latencies());
-      if (metrics.write_file(metrics_path, metrics_format)) {
-        std::fprintf(stderr, "delc: wrote metrics to %s\n", metrics_path.c_str());
-      }
-    }
+    session_counters = c;
+    session_latencies = mgr.latencies();
     return c.completed > 0 ? 0 : 1;
   };
   delirium::InstanceManagerConfig imconfig;
@@ -545,19 +543,79 @@ int main(int argc, char** argv) {
   imconfig.default_budget = instance_budget;
   imconfig.track_busy_workers = instance_budget.time_budget_ns > 0;
 
+  // Every per-operator output reads the run's trace event stream, plus
+  // the attempts a full ring overwrote (Runtime::trace_overwritten_slices),
+  // so counts and profiles stay exact; only the timeline is a window.
+  const bool trace_outputs =
+      !trace_events_path.empty() || !profile_out_path.empty() || !metrics_path.empty();
+  auto write_trace_outputs = [&](const delirium::RunStats& run_stats,
+                                 const std::vector<delirium::TraceEvent>& events,
+                                 const std::vector<delirium::LogHistogram>& overwritten,
+                                 uint64_t lost) {
+    if (!trace_events_path.empty()) {
+      if (lost > 0) {
+        std::fprintf(stderr,
+                     "delc: warning: full trace rings overwrote %llu events, so the "
+                     "--trace-events timeline holds only each worker's newest; raise "
+                     "DELIRIUM_TRACE_CAPACITY (events per worker)\n",
+                     static_cast<unsigned long long>(lost));
+      }
+      if (delirium::tools::write_trace_events_file(trace_events_path, events, registry)) {
+        std::fprintf(stderr, "delc: wrote trace events to %s\n", trace_events_path.c_str());
+      }
+    }
+    if (!profile_out_path.empty()) {
+      delirium::tools::CostProfile profile =
+          delirium::tools::profile_from_trace(events, registry);
+      delirium::tools::add_named(profile.operators, overwritten, registry);
+      if (delirium::tools::write_cost_profile_file(profile_out_path, profile)) {
+        std::fprintf(stderr, "delc: wrote cost profile to %s\n", profile_out_path.c_str());
+      }
+    }
+    if (!metrics_path.empty()) {
+      delirium::tools::MetricsRegistry metrics;
+      metrics.observe_run(run_stats, events, registry, overwritten);
+      if (session_counters) metrics.observe_instances(*session_counters, session_latencies);
+      if (metrics.write_file(metrics_path, metrics_format)) {
+        std::fprintf(stderr, "delc: wrote metrics to %s\n", metrics_path.c_str());
+      }
+    }
+  };
+  // An instance session's report: the machine's counters for the whole
+  // session with the manager's instance tallies (the machine never sees
+  // a shed request).
+  auto report_session = [&](delirium::RunStats session,
+                            const std::vector<delirium::TraceEvent>& events,
+                            const std::vector<delirium::LogHistogram>& overwritten,
+                            uint64_t lost) {
+    if (session_counters) {
+      session.instances_admitted = session_counters->admitted;
+      session.instances_completed = session_counters->completed;
+      session.instances_faulted = session_counters->faulted;
+      session.instances_budget_killed = session_counters->budget_killed;
+      session.instances_shed = session_counters->shed;
+    }
+    if (stats) delirium::tools::print_run_stats(std::cout, session);
+    write_trace_outputs(session, events, overwritten, lost);
+  };
+
   if (sim_procs > 0) {
     delirium::SimConfig config;
     config.num_procs = sim_procs;
-    config.enable_node_timing = !trace_path.empty() || !metrics_path.empty();
-    config.enable_tracing = !trace_events_path.empty() || !profile_out_path.empty();
+    config.enable_tracing = trace_outputs;
     config.max_retries = retries;
     config.watchdog_budget_ns = watchdog_ms * 1000000;
     apply_locality_flags(config);
     try {
       delirium::SimRuntime sim(registry, config);
       if (instances > 0) {
-        delirium::InstanceManager mgr(sim, imconfig);
-        return run_instance_mode(mgr);
+        int rc = 0;
+        {
+          delirium::InstanceManager mgr(sim, imconfig);
+          rc = run_instance_mode(mgr);
+        }
+        report_session(sim.last_stats(), sim.trace_events(), {}, 0);
+        return rc;
       }
       const delirium::SimResult r = sim.run(result.program);
       std::printf("result: %s\n", r.result.to_display_string().c_str());
@@ -565,29 +623,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.makespan) / 1e6,
                   static_cast<double>(r.total_busy) / 1e6);
       if (stats) delirium::tools::print_run_stats(std::cout, r.stats);
-      if (!trace_path.empty() &&
-          delirium::tools::write_chrome_trace_file(trace_path, r.timings)) {
-        std::fprintf(stderr, "delc: wrote trace to %s\n", trace_path.c_str());
-      }
-      if (!trace_events_path.empty() &&
-          delirium::tools::write_trace_events_file(trace_events_path, r.trace_events,
-                                                   registry)) {
-        std::fprintf(stderr, "delc: wrote trace events to %s\n",
-                     trace_events_path.c_str());
-      }
-      if (!profile_out_path.empty() &&
-          delirium::tools::write_cost_profile_file(
-              profile_out_path,
-              delirium::tools::profile_from_trace(r.trace_events, registry))) {
-        std::fprintf(stderr, "delc: wrote cost profile to %s\n", profile_out_path.c_str());
-      }
-      if (!metrics_path.empty()) {
-        delirium::tools::MetricsRegistry metrics;
-        metrics.observe_run(r.stats, r.timings);
-        if (metrics.write_file(metrics_path, metrics_format)) {
-          std::fprintf(stderr, "delc: wrote metrics to %s\n", metrics_path.c_str());
-        }
-      }
+      write_trace_outputs(r.stats, r.trace_events, {}, 0);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "delc: run failed: %s\n", e.what());
       return 1;
@@ -595,8 +631,7 @@ int main(int argc, char** argv) {
   } else if (run) {
     delirium::RuntimeConfig config;
     config.num_workers = workers;
-    config.enable_node_timing = !trace_path.empty() || !metrics_path.empty();
-    config.enable_tracing = !trace_events_path.empty() || !profile_out_path.empty();
+    config.enable_tracing = trace_outputs;
     config.max_retries = retries;
     config.watchdog_budget_ms = watchdog_ms;
     apply_locality_flags(config);
@@ -607,34 +642,21 @@ int main(int argc, char** argv) {
     try {
       runtime = std::make_unique<delirium::Runtime>(registry, config);
       if (instances > 0) {
-        delirium::InstanceManager mgr(*runtime, imconfig);
-        return run_instance_mode(mgr);
+        int rc = 0;
+        {
+          delirium::InstanceManager mgr(*runtime, imconfig);
+          rc = run_instance_mode(mgr);
+        }
+        report_session(runtime->last_stats(), runtime->trace_events(),
+                       runtime->trace_overwritten_slices(),
+                       runtime->trace_events_overwritten());
+        return rc;
       }
       const delirium::Value value = runtime->run(result.program);
       std::printf("result: %s\n", value.to_display_string().c_str());
-      if (!trace_path.empty() &&
-          delirium::tools::write_chrome_trace_file(trace_path, runtime->node_timings())) {
-        std::fprintf(stderr, "delc: wrote trace to %s\n", trace_path.c_str());
-      }
-      if (!trace_events_path.empty() &&
-          delirium::tools::write_trace_events_file(trace_events_path,
-                                                   runtime->trace_events(), registry)) {
-        std::fprintf(stderr, "delc: wrote trace events to %s\n",
-                     trace_events_path.c_str());
-      }
-      if (!profile_out_path.empty() &&
-          delirium::tools::write_cost_profile_file(
-              profile_out_path,
-              delirium::tools::profile_from_trace(runtime->trace_events(), registry))) {
-        std::fprintf(stderr, "delc: wrote cost profile to %s\n", profile_out_path.c_str());
-      }
-      if (!metrics_path.empty()) {
-        delirium::tools::MetricsRegistry metrics;
-        metrics.observe_run(runtime->last_stats(), runtime->node_timings());
-        if (metrics.write_file(metrics_path, metrics_format)) {
-          std::fprintf(stderr, "delc: wrote metrics to %s\n", metrics_path.c_str());
-        }
-      }
+      write_trace_outputs(runtime->last_stats(), runtime->trace_events(),
+                          runtime->trace_overwritten_slices(),
+                          runtime->trace_events_overwritten());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "delc: run failed: %s\n", e.what());
       if (stats && runtime) delirium::tools::print_run_stats(std::cout, runtime->last_stats());

@@ -5,10 +5,11 @@
 //
 //   $ ./retina_demo [size] [workers] [trace.json]
 //
-// With a third argument, records the full trace event stream and writes
-// it as Chrome/Perfetto JSON (load at https://ui.perfetto.dev) — slices
-// sit at their real start timestamps, so load imbalance shows up as
-// visible gaps. See docs/OBSERVABILITY.md.
+// The node timings come from the trace event stream's operator slices.
+// With a third argument, the stream of the last run is also written as
+// Chrome/Perfetto JSON (load at https://ui.perfetto.dev) — slices sit at
+// their real start timestamps, so load imbalance shows up as visible
+// gaps. See docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -17,6 +18,7 @@
 
 #include "src/apps/retina/retina_ops.h"
 #include "src/delirium.h"
+#include "src/tools/metrics.h"
 #include "src/tools/trace.h"
 
 using namespace delirium;
@@ -24,17 +26,15 @@ using namespace delirium::retina;
 
 namespace {
 
-void report(Runtime& runtime, const char* label) {
+void report(const Runtime& runtime, const char* label) {
   // Aggregate node timings per operator, like reading the paper's dump.
-  std::map<std::string, std::pair<int, double>> agg;
-  for (const NodeTiming& t : runtime.node_timings()) {
-    agg[t.label].first += 1;
-    agg[t.label].second += static_cast<double>(t.duration);
-  }
+  std::map<std::string, LogHistogram> agg;
+  tools::add_named(agg, op_histograms(runtime.trace_events()), runtime.registry());
   std::printf("--- node timings (%s) ---\n", label);
-  for (const auto& [op, stats] : agg) {
-    std::printf("  call of %-13s x%-4d avg %8.0f ticks\n", op.c_str(), stats.first,
-                stats.second / stats.first);
+  for (const auto& [op, h] : agg) {
+    std::printf("  call of %-13s x%-4d avg %8.0f ticks\n", op.c_str(),
+                static_cast<int>(h.count()),
+                static_cast<double>(h.total()) / static_cast<double>(h.count()));
   }
 }
 
@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
   std::printf("sequential checksum: %.6f\n\n", checksum(reference));
 
   RuntimeConfig config{.num_workers = workers};
-  config.enable_node_timing = true;
-  config.enable_tracing = !trace_path.empty();
+  config.enable_tracing = true;
   Runtime runtime(registry, config);
   for (const auto version : {RetinaVersion::kV1Imbalanced, RetinaVersion::kV2Balanced}) {
     const char* label = version == RetinaVersion::kV1Imbalanced ? "v1 (imbalanced post_up)"

@@ -36,7 +36,11 @@
 //   void charge_backoff(ns, cost);        // retry backoff
 //   void busy_begin(worker, def) / busy_end(worker);   // watchdog busy dump
 //   Ticks op_clock_begin();               // start the operator cost clock
-//   void op_note_success(t0, def, op_index, act, worker, virtual_start, arrival, cost);
+//   void op_note_success(t0, def, op_index, arrival, cost);
+//                                         // charge a successful attempt's
+//                                         // cost (virtual time only; the
+//                                         // threaded machine's operator
+//                                         // time comes from the trace)
 //   uint64_t op_arrival(def, op_index, has_plan);  // per-op arrival counter
 //   int last_affinity_worker(op_index);   // operator-affinity memory
 //   void note_affinity(op_index, worker);
@@ -87,8 +91,6 @@ enum class AffinityMode { kNone, kOperator, kData };
 /// (exec_config_test statically checks that no shared knob drifts back
 /// into only one of them).
 struct ExecConfig {
-  /// Record per-node execution times (the case studies' "node timings").
-  bool enable_node_timing = false;
   /// Use the three-level priority queue of §7; false degrades to a single
   /// FIFO (the ablation measured by bench_priority).
   bool use_priorities = true;
@@ -164,19 +166,6 @@ void apply_exec_env_overrides(ExecConfig& config);
 /// cost_hints). Machines size their queue arrays with this.
 inline constexpr int kQueueLevels = 6;
 
-/// One operator execution, for the node-timing report.
-struct NodeTiming {
-  std::string label;     // operator name
-  std::string tmpl;      // template it ran in
-  Ticks duration = 0;    // nanoseconds
-  int worker = 0;
-  uint64_t seq = 0;      // global completion order
-  /// When the operator started: wall-clock ns relative to the run start
-  /// (Runtime) or exact virtual ns (SimRuntime). Lets trace export place
-  /// slices with true gaps instead of packing durations end-to-end.
-  Ticks start = 0;
-};
-
 struct RunStats {
   uint64_t activations_created = 0;
   uint64_t peak_live_activations = 0;
@@ -193,7 +182,13 @@ struct RunStats {
   uint64_t cow_skipped = 0;         // clones elided via kUnique annotations
   uint64_t remote_block_moves = 0;  // NUMA-simulated block migrations
   uint64_t remote_bytes_pulled = 0; // payload bytes of cross-domain pulls
-  Ticks operator_ticks = 0;         // total time inside operators
+  /// Total time inside operators. SimRuntime: the charged cost of each
+  /// successful attempt, without injected stalls (its slices include
+  /// them) or failed attempts (zero-length slices). Runtime: the sum of
+  /// every operator slice of the run (op_slices, tracing.h, plus the
+  /// slices a full ring overwrote), so failed attempts and injected
+  /// stalls count; 0 when tracing is off.
+  Ticks operator_ticks = 0;
 
   // Scheduler counters. SimRuntime reports every virtual enqueue as
   // local and the rest as zero, so tooling sees one schema across both
@@ -875,15 +870,13 @@ class ExecutorCore {
                                  ")");
             }
             if (fd.action == FaultAction::kStall) machine().charge_stall(fd.stall_ns, cost);
-            const Ticks virtual_start = start + cost;
             const Ticks t0 = machine().op_clock_begin();
             OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, classes);
             result = def.fn(ctx);
             machine().busy_end(worker);
-            // Cost, timings, and CoW stats come from the successful
-            // attempt only; failed attempts contribute their backoff.
-            machine().op_note_success(t0, def, n.op_index, act, worker, virtual_start,
-                                      arrival, cost);
+            // Cost and CoW stats come from the successful attempt only;
+            // failed attempts contribute their backoff.
+            machine().op_note_success(t0, def, n.op_index, arrival, cost);
             counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
             counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
             if (fd.action == FaultAction::kCorrupt) {
@@ -991,13 +984,11 @@ class ExecutorCore {
                                    ")");
               }
               if (fd.action == FaultAction::kStall) machine().charge_stall(fd.stall_ns, cost);
-              const Ticks virtual_start = start + cost;
               const Ticks t0 = machine().op_clock_begin();
               OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, {});
               result = def.fn(ctx);
               machine().busy_end(worker);
-              machine().op_note_success(t0, def, member.op_index, act, worker, virtual_start,
-                                        arrival, cost);
+              machine().op_note_success(t0, def, member.op_index, arrival, cost);
               counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
               counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
               if (fd.action == FaultAction::kCorrupt) result = Value::tuple({});

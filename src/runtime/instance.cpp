@@ -21,8 +21,8 @@ const char* instance_outcome_name(InstanceOutcome o) {
 
 InstanceManager::InstanceManager(Runtime& rt, InstanceManagerConfig config)
     : rt_(&rt), config_(config), run_lock_(rt.run_mu_) {
-  // The session is one "run" from the machine's point of view: counters,
-  // timings, and trace rings reset here and are published at destruction,
+  // The session is one "run" from the machine's point of view: counters
+  // and trace rings reset here and are published at destruction,
   // so last_stats()/trace_events() describe the whole session.
   rt_->reset_run_accumulators();
   rt_->resolve_run_policy();

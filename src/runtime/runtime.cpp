@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <ostream>
 #include <string_view>
 
 #include "src/runtime/instance.h"
@@ -297,22 +296,6 @@ void Runtime::busy_end(int worker) {
   WorkerData& wd = *worker_data_[worker];
   std::lock_guard<std::mutex> lock(wd.busy_mu);
   wd.busy_op.clear();
-}
-
-Ticks Runtime::op_clock_begin() {
-  return config_.enable_node_timing ? now_ticks() : 0;
-}
-
-void Runtime::op_note_success(Ticks t0, const OperatorDef& def, int /*op_index*/,
-                              const Activation& act, int worker, Ticks /*virtual_start*/,
-                              uint64_t /*arrival*/, Ticks& /*cost*/) {
-  if (!config_.enable_node_timing) return;
-  const Ticks dt = now_ticks() - t0;
-  counters_.operator_ticks.fetch_add(dt, std::memory_order_relaxed);
-  worker_data_[worker]->timings.push_back(
-      NodeTiming{def.info.name, act.tmpl->name, dt, worker,
-                 timing_seq_.fetch_add(1, std::memory_order_relaxed),
-                 t0 - run_start_ticks_});
 }
 
 uint64_t Runtime::op_arrival(const OperatorDef& /*def*/, int op_index, bool has_plan) {
@@ -617,9 +600,8 @@ Value Runtime::run_function(const CompiledProgram& program, const std::string& n
 
   // Reset per-run state *before* anything that can throw (the function
   // lookup, FaultPlan::from_env). Otherwise a failed run would leave
-  // last_stats() / node_timings() / trace_events() showing the previous
-  // run's numbers — exactly the stale-counter bug a --stats user cannot
-  // see past.
+  // last_stats() / trace_events() showing the previous run's numbers —
+  // exactly the stale-counter bug a --stats user cannot see past.
   reset_run_accumulators();
 
   const Template* tmpl = program.find(name);
@@ -636,7 +618,7 @@ Value Runtime::run_function(const CompiledProgram& program, const std::string& n
   rs.watchdog_budget_ns = config_.watchdog_budget_ms * 1000000;
   busy_tracking_.store(rs.watchdog_budget_ns > 0, std::memory_order_relaxed);
 
-  // Trace timestamps (and NodeTiming::start) are relative to this point.
+  // Trace timestamps are relative to this point.
   run_start_ticks_ = now_ticks();
 
   // The root activation delivers its result to the run state directly.
@@ -706,10 +688,7 @@ Value Runtime::run_function(const CompiledProgram& program, const std::string& n
 
 void Runtime::reset_run_accumulators() {
   reset_core_run_state();
-  timing_seq_.store(0);
-  for (auto& wd : worker_data_) wd->timings.clear();
   for (auto& a : op_arrivals_) a.store(0, std::memory_order_relaxed);
-  merged_timings_.clear();
   // Zero the published snapshot too: if this run throws before its drain
   // (unknown function, bad injection spec), last_stats() must not keep
   // reporting the previous run.
@@ -719,32 +698,30 @@ void Runtime::reset_run_accumulators() {
   // root's enqueue, which happens-before any worker's first pop/write.
   merged_trace_.clear();
   trace_overwritten_ = 0;
+  overwritten_slices_.clear();
   trace_seq_.store(0, std::memory_order_relaxed);
   for (TraceRing& r : trace_rings_) r.clear();
 }
 
 void Runtime::finish_run_bookkeeping() {
   snapshot_core_stats(stats_);
-  for (auto& wd : worker_data_) {
-    merged_timings_.insert(merged_timings_.end(), wd->timings.begin(), wd->timings.end());
-  }
-  std::sort(merged_timings_.begin(), merged_timings_.end(),
-            [](const NodeTiming& a, const NodeTiming& b) { return a.seq < b.seq; });
   if (trace_enabled_) {
     // Safe to read every ring: the drain observed outstanding == 0, and
     // the acq_rel decrement chain gives this thread happens-before with
     // all workers' ring writes (tracing.h).
     for (const TraceRing& r : trace_rings_) {
       r.collect(merged_trace_);
+      r.overwritten_slices(overwritten_slices_);
       trace_overwritten_ += r.overwritten();
     }
     sort_trace_events(merged_trace_);
-  }
-}
-
-void Runtime::print_node_timings(std::ostream& os) const {
-  for (const NodeTiming& t : merged_timings_) {
-    os << "call of " << t.label << " took " << t.duration << '\n';
+    // Operator time: every attempt, retained or overwritten.
+    OpSlicer slicer;
+    OpSlice s;
+    for (const TraceEvent& e : merged_trace_) {
+      if (slicer.feed(e, s)) stats_.operator_ticks += s.duration;
+    }
+    for (const LogHistogram& h : overwritten_slices_) stats_.operator_ticks += h.total();
   }
 }
 

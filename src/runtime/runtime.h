@@ -13,7 +13,6 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -60,18 +59,22 @@ class Runtime : public ExecutorCore<Runtime> {
 
   const RunStats& last_stats() const { return stats_; }
 
-  /// Node timings of the last run (empty unless enable_node_timing), in
-  /// completion order.
-  const std::vector<NodeTiming>& node_timings() const { return merged_timings_; }
-  /// Print in the paper's format: "call of <op> took <ticks>".
-  void print_node_timings(std::ostream& os) const;
-
   /// Trace event stream of the last run (empty unless enable_tracing),
   /// merged across workers and sorted by sequence number. Timestamps are
-  /// wall-clock nanoseconds relative to the run start.
+  /// wall-clock nanoseconds relative to the run start. op_slices()
+  /// (tracing.h) pairs it into per-operator timings.
   const std::vector<TraceEvent>& trace_events() const { return merged_trace_; }
   /// Events lost to ring-buffer wraparound during the last run.
   uint64_t trace_events_overwritten() const { return trace_overwritten_; }
+  /// The last run's operator attempts that op_slices(trace_events())
+  /// cannot pair because a full ring overwrote their begin, as one
+  /// histogram per operator (indexed by registry index; empty when no
+  /// ring wrapped). Together with the retained slices they are every
+  /// attempt of the run, so per-operator counts and operator_ticks stay
+  /// exact at any ring capacity.
+  const std::vector<LogHistogram>& trace_overwritten_slices() const {
+    return overwritten_slices_;
+  }
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   const RuntimeConfig& config() const { return config_; }
@@ -145,7 +148,6 @@ class Runtime : public ExecutorCore<Runtime> {
     uint32_t node = 0;
   };
   struct WorkerData {
-    std::vector<NodeTiming> timings;
     // What the worker is executing right now, for the watchdog dump.
     // Maintained only when a watchdog budget is set.
     std::mutex busy_mu;
@@ -199,9 +201,11 @@ class Runtime : public ExecutorCore<Runtime> {
   void charge_backoff(Ticks ns, Ticks& cost);
   void busy_begin(int worker, const OperatorDef& def);
   void busy_end(int worker);
-  Ticks op_clock_begin();
-  void op_note_success(Ticks t0, const OperatorDef& def, int op_index, const Activation& act,
-                       int worker, Ticks virtual_start, uint64_t arrival, Ticks& cost);
+  // No operator clock: operator time is summed from the trace's slices
+  // at the end of a traced run (finish_run_bookkeeping).
+  Ticks op_clock_begin() { return 0; }
+  void op_note_success(Ticks /*t0*/, const OperatorDef& /*def*/, int /*op_index*/,
+                       uint64_t /*arrival*/, Ticks& /*cost*/) {}
   uint64_t op_arrival(const OperatorDef& def, int op_index, bool has_plan);
   int last_affinity_worker(int op_index);
   void note_affinity(int op_index, int worker);
@@ -274,13 +278,9 @@ class Runtime : public ExecutorCore<Runtime> {
   std::atomic<uint64_t> trace_seq_{0};
   std::vector<TraceEvent> merged_trace_;
   uint64_t trace_overwritten_ = 0;
-
-  /// Global completion order for node timings (the dataflow counters
-  /// themselves live in ExecutorCore's StatCounters).
-  std::atomic<uint64_t> timing_seq_{0};
+  std::vector<LogHistogram> overwritten_slices_;
 
   RunStats stats_;
-  std::vector<NodeTiming> merged_timings_;
 };
 
 }  // namespace delirium

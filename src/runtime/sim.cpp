@@ -299,7 +299,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   Queue ready;  // indexed by level, affinity class and ready time
   std::vector<Ticks> proc_avail;
   std::vector<Ticks> proc_busy;
-  std::vector<NodeTiming> timings;
 
   /// Some instance was cancelled with work possibly queued: the drive
   /// loop sweeps the ready queue (in enqueue order, so purge traces are
@@ -480,8 +479,8 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   // replayed) wall time *is* the virtual cost model.
   Ticks op_clock_begin() { return now_ticks(); }
 
-  void op_note_success(Ticks t0, const OperatorDef& def, int op_index, const Activation& act,
-                       int proc, Ticks virtual_start, uint64_t occurrence, Ticks& cost) {
+  void op_note_success(Ticks t0, const OperatorDef& def, int op_index, uint64_t occurrence,
+                       Ticks& cost) {
     Ticks measured = now_ticks() - t0;
     OpState& op = op_state(def, op_index);
     if (config.record_costs != nullptr) {
@@ -502,10 +501,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     measured = std::max<Ticks>(measured, 0);
     cost += measured;
     counters_.operator_ticks.fetch_add(measured, std::memory_order_relaxed);
-    if (config.enable_node_timing) {
-      timings.push_back(NodeTiming{def.info.name, act.tmpl->name, measured, proc,
-                                   static_cast<uint64_t>(timings.size()), virtual_start});
-    }
   }
 
   uint64_t op_arrival(const OperatorDef& def, int op_index, bool /*has_plan*/) {
@@ -678,7 +673,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     for (Ticks b : proc_busy) result.total_busy += b;
     result.proc_busy = proc_busy;
     snapshot_core_stats(result.stats);
-    result.timings = std::move(timings);
     result.trace_events = trace;  // Impl keeps its copy for faulting-run retrieval
     return result;
   }

@@ -88,9 +88,9 @@ struct SimResult {
   Ticks total_busy = 0;            // sum of per-processor busy time
   std::vector<Ticks> proc_busy;    // per-processor busy time
   RunStats stats;
-  std::vector<NodeTiming> timings; // operator label + measured cost
   /// Trace event stream (empty unless enable_tracing), in record order,
-  /// timestamped in exact virtual nanoseconds.
+  /// timestamped in exact virtual nanoseconds; op_slices() (tracing.h)
+  /// pairs it into per-operator costs.
   std::vector<TraceEvent> trace_events;
 };
 

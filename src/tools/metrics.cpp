@@ -1,8 +1,6 @@
 #include "src/tools/metrics.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -45,49 +43,23 @@ std::vector<RunStatField> run_stat_fields(const RunStats& s) {
   };
 }
 
-void LogHistogram::observe(int64_t value_ns) {
-  if (value_ns < 0) value_ns = 0;
-  if (count_ == 0) {
-    min_ = max_ = value_ns;
-  } else {
-    min_ = std::min(min_, value_ns);
-    max_ = std::max(max_, value_ns);
-  }
-  ++count_;
-  total_ += value_ns;
-  const size_t bucket = std::bit_width(static_cast<uint64_t>(value_ns));
-  ++buckets_[std::min(bucket, buckets_.size() - 1)];
+const std::string* operator_name(const OperatorRegistry& registry, int32_t op) {
+  if (op < 0 || static_cast<size_t>(op) >= registry.size()) return nullptr;
+  return &registry.at(static_cast<size_t>(op)).info.name;
 }
 
-LogHistogram LogHistogram::restore(const std::array<uint64_t, kBuckets>& buckets,
-                                   uint64_t count, int64_t total, int64_t min,
-                                   int64_t max) {
-  LogHistogram h;
-  h.buckets_ = buckets;
-  h.count_ = count;
-  h.total_ = total;
-  h.min_ = min;
-  h.max_ = max;
-  return h;
-}
-
-int64_t LogHistogram::percentile(double p) const {
-  if (count_ == 0) return 0;
-  const uint64_t rank =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(p * static_cast<double>(count_))));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      // Upper bound of bucket i: values with bit width i are < 2^i.
-      return i == 0 ? 0 : static_cast<int64_t>((uint64_t{1} << i) - 1);
-    }
+void add_named(std::map<std::string, LogHistogram>& by_name,
+               const std::vector<LogHistogram>& by_op, const OperatorRegistry& registry) {
+  for (size_t op = 0; op < by_op.size(); ++op) {
+    const std::string* name = operator_name(registry, static_cast<int32_t>(op));
+    if (name != nullptr && by_op[op].count() > 0) by_name[*name].merge(by_op[op]);
   }
-  return max_;
 }
 
 void MetricsRegistry::observe_run(const RunStats& stats,
-                                  const std::vector<NodeTiming>& timings) {
+                                  const std::vector<TraceEvent>& events,
+                                  const OperatorRegistry& registry,
+                                  const std::vector<LogHistogram>& overwritten) {
   ++runs_;
   totals_.activations_created += stats.activations_created;
   totals_.peak_live_activations =
@@ -122,7 +94,8 @@ void MetricsRegistry::observe_run(const RunStats& stats,
   totals_.instances_faulted += stats.instances_faulted;
   totals_.instances_budget_killed += stats.instances_budget_killed;
   totals_.instances_shed += stats.instances_shed;
-  for (const NodeTiming& t : timings) per_op_[t.label].observe(t.duration);
+  add_named(per_op_, op_histograms(events), registry);
+  add_named(per_op_, overwritten, registry);
 }
 
 void MetricsRegistry::observe_instances(const InstanceCounters& counters,

@@ -1,14 +1,13 @@
 // Metrics export (docs/OBSERVABILITY.md): a MetricsRegistry snapshots
-// RunStats plus per-operator duration histograms from node timings and
-// serializes them as JSON or Prometheus text exposition format
-// (delc --metrics FILE --metrics-format {json,prom}).
+// RunStats plus per-operator duration histograms from the trace event
+// stream and serializes them as JSON or Prometheus text exposition
+// format (delc --metrics FILE --metrics-format {json,prom}).
 //
 // Histograms use fixed log2 buckets, so percentile estimates are
 // deterministic bucket upper bounds — the same durations always report
 // the same p50/p99, which keeps the golden-file test stable.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -32,47 +31,34 @@ struct RunStatField {
 /// Every RunStats counter in the fixed report order.
 std::vector<RunStatField> run_stat_fields(const RunStats& stats);
 
-/// Fixed-bucket log2 histogram of nanosecond durations. Bucket i holds
-/// values whose bit width is i, i.e. [2^(i-1), 2^i); percentiles report
-/// the upper bound of the bucket containing the requested rank.
-class LogHistogram {
- public:
-  static constexpr size_t kBuckets = 64;
+/// The duration histogram (tracing.h), under its tools-side name.
+using delirium::LogHistogram;
 
-  void observe(int64_t value_ns);
+/// The registered name of operator index `op` (from a trace event or an
+/// operator slice), or null when `registry` has no such index: a
+/// hand-built stream, or a registry other than the run's. Every tool
+/// resolves operator indices through this one check.
+const std::string* operator_name(const OperatorRegistry& registry, int32_t op);
 
-  uint64_t count() const { return count_; }
-  int64_t total() const { return total_; }
-  int64_t min() const { return count_ > 0 ? min_ : 0; }
-  int64_t max() const { return count_ > 0 ? max_ : 0; }
+/// Merge histograms indexed by operator (op_histograms,
+/// Runtime::trace_overwritten_slices) into `by_name` under their
+/// operators' names. Empty histograms and unknown indices add nothing.
+void add_named(std::map<std::string, LogHistogram>& by_name,
+               const std::vector<LogHistogram>& by_op, const OperatorRegistry& registry);
 
-  /// Raw log2 bucket counts, for serialization (docs/PROFILING.md).
-  const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
-
-  /// Rebuild a histogram from previously serialized state, exactly: a
-  /// restore followed by a re-serialize is byte-identical. `min`/`max`
-  /// are the raw stored fields (returned only while count > 0).
-  static LogHistogram restore(const std::array<uint64_t, kBuckets>& buckets,
-                              uint64_t count, int64_t total, int64_t min, int64_t max);
-
-  /// Deterministic percentile estimate: the upper bound of the log2
-  /// bucket holding the value of rank ceil(p * count). p in [0, 1].
-  int64_t percentile(double p) const;
-
- private:
-  std::array<uint64_t, kBuckets> buckets_{};
-  uint64_t count_ = 0;
-  int64_t total_ = 0;
-  int64_t min_ = 0;
-  int64_t max_ = 0;
-};
-
-/// Aggregates one or more runs (RunStats + per-operator histograms from
-/// the node-timing trace) and exports them. Counters sum across observed
-/// runs; peak_live_activations keeps the maximum.
+/// Aggregates one or more runs (RunStats + per-operator histograms) and
+/// exports them. Counters sum across observed runs;
+/// peak_live_activations keeps the maximum.
 class MetricsRegistry {
  public:
-  void observe_run(const RunStats& stats, const std::vector<NodeTiming>& timings);
+  /// Fold in one run: its counters, and one histogram sample per
+  /// operator attempt in `events` (op_slices, tracing.h) plus the
+  /// attempts a full ring overwrote (`overwritten`, from
+  /// Runtime::trace_overwritten_slices), named through `registry`. An
+  /// untraced run contributes counters only.
+  void observe_run(const RunStats& stats, const std::vector<TraceEvent>& events,
+                   const OperatorRegistry& registry,
+                   const std::vector<LogHistogram>& overwritten = {});
 
   /// Fold in one InstanceManager session (docs/ROBUSTNESS.md "Isolation
   /// model"): the admission/outcome tallies plus a latency histogram
@@ -93,7 +79,6 @@ class MetricsRegistry {
   bool write_file(const std::string& path, const std::string& format) const;
 
   uint64_t runs() const { return runs_; }
-  const std::map<std::string, LogHistogram>& per_operator() const { return per_op_; }
 
  private:
   uint64_t runs_ = 0;

@@ -19,28 +19,7 @@ CostProfile profile_from_trace(const std::vector<TraceEvent>& events,
   sort_trace_events(sorted);
 
   CostProfile profile;
-  struct Open {
-    int32_t op = -1;
-    int64_t ts = 0;
-    bool open = false;
-  };
-  // A worker executes one operator attempt at a time (fused members run
-  // sequentially and emit their own pairs), so one open slot per worker
-  // pairs every begin with its end.
-  std::unordered_map<int16_t, Open> open;
-  for (const TraceEvent& e : sorted) {
-    if (e.kind == TraceEventKind::kOpBegin) {
-      open[e.worker] = Open{e.op, e.ts, true};
-    } else if (e.kind == TraceEventKind::kOpEnd) {
-      Open& slot = open[e.worker];
-      if (slot.open && slot.op == e.op && e.op >= 0 &&
-          static_cast<size_t>(e.op) < registry.size()) {
-        profile.operators[registry.at(static_cast<size_t>(e.op)).info.name].observe(
-            std::max<int64_t>(0, e.ts - slot.ts));
-      }
-      slot.open = false;
-    }
-  }
+  add_named(profile.operators, op_histograms(sorted), registry);
   return profile;
 }
 

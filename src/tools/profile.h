@@ -37,13 +37,11 @@ struct CostProfile {
   bool empty() const { return operators.empty(); }
 };
 
-/// Build a profile from a trace event stream: kOpBegin/kOpEnd pairs are
-/// matched per worker (a worker runs one attempt at a time) and each
-/// attempt's duration (end.ts - begin.ts) is observed under the
-/// operator's name. With SimRuntime timestamps the durations are the
-/// exact virtual operator costs; with wall-clock timestamps they are
-/// measured. Events are re-sorted by seq first, so any merge order is
-/// accepted.
+/// Build a profile from a trace event stream: each operator attempt's
+/// slice (op_slices, tracing.h) is observed under the operator's name.
+/// With SimRuntime timestamps the durations are the exact virtual
+/// operator costs; with wall-clock timestamps they are measured. Events
+/// are re-sorted by seq first, so any merge order is accepted.
 CostProfile profile_from_trace(const std::vector<TraceEvent>& events,
                                const OperatorRegistry& registry);
 

@@ -62,29 +62,17 @@ std::string Table::ratio(double value, int precision) {
 
 std::string Table::count(uint64_t value) { return std::to_string(value); }
 
-std::map<std::string, OpAggregate> aggregate_timings(const std::vector<NodeTiming>& timings) {
-  std::map<std::string, OpAggregate> agg;
-  for (const NodeTiming& t : timings) {
-    OpAggregate& a = agg[t.label];
-    if (a.invocations == 0) {
-      a.min = a.max = t.duration;
-    } else {
-      a.min = std::min(a.min, t.duration);
-      a.max = std::max(a.max, t.duration);
-    }
-    ++a.invocations;
-    a.total += t.duration;
-  }
-  return agg;
-}
-
-void print_timing_trace(std::ostream& os, const std::vector<NodeTiming>& timings,
-                        size_t limit) {
+void print_timing_trace(std::ostream& os, const std::vector<TraceEvent>& events,
+                        const OperatorRegistry& registry, size_t limit) {
+  std::vector<OpSlice> slices = op_slices(events);
+  std::erase_if(slices, [&registry](const OpSlice& s) {
+    return operator_name(registry, s.op) == nullptr;
+  });
   size_t n = 0;
-  for (const NodeTiming& t : timings) {
-    os << "call of " << t.label << " took " << t.duration << '\n';
+  for (const OpSlice& s : slices) {
+    os << "call of " << *operator_name(registry, s.op) << " took " << s.duration << '\n';
     if (limit > 0 && ++n >= limit) {
-      os << "... (" << timings.size() - n << " more)\n";
+      os << "... (" << slices.size() - n << " more)\n";
       return;
     }
   }

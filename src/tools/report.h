@@ -1,11 +1,10 @@
 // Reporting utilities shared by the bench harness and examples: aligned
-// text tables (the paper's tables reproduced as console output), node
-// timing aggregation, and median-of-N measurement helpers.
+// text tables (the paper's tables reproduced as console output), the
+// paper-style node-timing report, and median-of-N measurement helpers.
 #pragma once
 
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,22 +31,11 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Per-operator aggregate of a node-timing trace.
-struct OpAggregate {
-  int invocations = 0;
-  Ticks total = 0;
-  Ticks min = 0;
-  Ticks max = 0;
-
-  double mean() const { return invocations > 0 ? static_cast<double>(total) / invocations : 0; }
-};
-
-std::map<std::string, OpAggregate> aggregate_timings(const std::vector<NodeTiming>& timings);
-
-/// Print the paper-style dump: "call of <op> took <ticks>", optionally
-/// limited to the first `limit` entries.
-void print_timing_trace(std::ostream& os, const std::vector<NodeTiming>& timings,
-                        size_t limit = 0);
+/// Print §5.2's node-timing dump from a trace event stream: one
+/// "call of <op> took <ns>" line per operator attempt (op_slices, in
+/// completion order), optionally limited to the first `limit` lines.
+void print_timing_trace(std::ostream& os, const std::vector<TraceEvent>& events,
+                        const OperatorRegistry& registry, size_t limit = 0);
 
 /// Print a RunStats block, one "name: value" per line (delc --stats).
 /// The schema is identical for Runtime and SimRuntime runs; counters a

@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "src/tools/metrics.h"
+
 namespace delirium::tools {
 
 namespace {
@@ -30,8 +32,7 @@ void write_us(std::ostream& os, int64_t ns) {
 
 void write_slice(std::ostream& os, bool& first, const std::string& name,
                  const char* cat, int tid, int64_t ts_ns, int64_t dur_ns,
-                 const std::string& args_key, const std::string& args_value,
-                 bool quote_value) {
+                 const char* args_key, int64_t args_value) {
   if (!first) os << ",\n";
   first = false;
   os << R"(  {"name": ")";
@@ -41,15 +42,7 @@ void write_slice(std::ostream& os, bool& first, const std::string& name,
   write_us(os, ts_ns);
   os << R"(, "dur": )";
   write_us(os, dur_ns < 1 ? 1 : dur_ns);
-  os << R"(, "args": {")" << args_key << R"(": )";
-  if (quote_value) {
-    os << '"';
-    write_escaped(os, args_value);
-    os << '"';
-  } else {
-    os << args_value;
-  }
-  os << "}}";
+  os << R"(, "args": {")" << args_key << R"(": )" << args_value << "}}";
 }
 
 void write_instant(std::ostream& os, bool& first, const std::string& name, int tid,
@@ -80,42 +73,11 @@ int event_tid(const TraceEvent& e, int max_worker) {
 }
 
 std::string op_name(int32_t op, const OperatorRegistry& registry) {
-  if (op >= 0 && static_cast<size_t>(op) < registry.size()) {
-    return registry.at(static_cast<size_t>(op)).info.name;
-  }
-  return "?";
+  const std::string* name = operator_name(registry, op);
+  return name != nullptr ? *name : "?";
 }
 
 }  // namespace
-
-void write_chrome_trace(std::ostream& os, const std::vector<NodeTiming>& timings) {
-  // Slices placed at their recorded start: gaps between operators on a
-  // worker row are the real idle/scheduling time, in both executors.
-  std::vector<const NodeTiming*> ordered;
-  ordered.reserve(timings.size());
-  for (const NodeTiming& t : timings) ordered.push_back(&t);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const NodeTiming* a, const NodeTiming* b) { return a->start < b->start; });
-  os << "[\n";
-  bool first = true;
-  for (const NodeTiming* t : ordered) {
-    write_slice(os, first, t->label, "operator", t->worker, t->start, t->duration,
-                "template", t->tmpl, /*quote_value=*/true);
-  }
-  os << "\n]\n";
-}
-
-void write_chrome_trace(std::ostream& os, const SimResult& result) {
-  write_chrome_trace(os, result.timings);
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const std::vector<NodeTiming>& timings) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out, timings);
-  return out.good();
-}
 
 void write_trace_events(std::ostream& os, const std::vector<TraceEvent>& events,
                         const OperatorRegistry& registry) {
@@ -135,39 +97,27 @@ void write_trace_events(std::ostream& os, const std::vector<TraceEvent>& events,
   for (int tid : tids) write_thread_name(os, first, tid, "worker " + std::to_string(tid));
   if (has_external) write_thread_name(os, first, max_worker + 1, "caller");
 
-  // Operator slices from begin/end pairs. A worker executes one operator
-  // at a time, so a one-deep slot per row suffices; a stack keeps the
-  // exporter robust to streams it didn't produce.
-  struct Open {
-    int64_t ts;
-    int32_t op;
-    int64_t attempt;
-  };
-  std::vector<std::vector<Open>> open(static_cast<size_t>(max_worker) + 2);
-
+  // Operator slices stream out at their end events, among the instants;
+  // an end that closes nothing becomes an op_end instant.
+  OpSlicer slicer;
+  OpSlice slice;
   for (const TraceEvent& e : events) {
     const int tid = event_tid(e, max_worker);
     switch (e.kind) {
       case TraceEventKind::kOpBegin:
-        open[static_cast<size_t>(tid)].push_back(Open{e.ts, e.op, e.arg});
+        slicer.feed(e, slice);
         break;
-      case TraceEventKind::kOpEnd: {
-        auto& stack = open[static_cast<size_t>(tid)];
-        if (!stack.empty() && stack.back().op == e.op) {
-          const Open& o = stack.back();
-          write_slice(os, first, op_name(e.op, registry), "operator", tid, o.ts,
-                      e.ts - o.ts, "attempt", std::to_string(o.attempt),
-                      /*quote_value=*/false);
-          stack.pop_back();
+      case TraceEventKind::kOpEnd:
+        if (slicer.feed(e, slice)) {
+          write_slice(os, first, op_name(e.op, registry), "operator", tid, slice.start,
+                      slice.duration, "attempt", slice.attempt);
         } else {
           write_instant(os, first, "op_end", tid, e.ts, e.arg);
         }
         break;
-      }
       case TraceEventKind::kPark:
         // arg is the total ns slept starting at ts (tracing.h).
-        write_slice(os, first, "park", "scheduler", tid, e.ts, e.arg, "slept_ns",
-                    std::to_string(e.arg), /*quote_value=*/false);
+        write_slice(os, first, "park", "scheduler", tid, e.ts, e.arg, "slept_ns", e.arg);
         break;
       case TraceEventKind::kFaultRaise:
       case TraceEventKind::kRetry:

@@ -1,14 +1,9 @@
 // Execution trace export — the modern form of the paper's "tools for
-// analyzing and improving execution speed" (§1). Two exporters, both in
-// Chrome trace-event JSON (chrome://tracing, Perfetto):
-//
-//  * write_chrome_trace: node timings as one slice per operator
-//    execution, placed at its recorded start timestamp — true gaps, in
-//    both executors (NodeTiming::start is wall-clock ns relative to the
-//    run start in Runtime, exact virtual ns in SimRuntime).
-//  * write_trace_events: the full event stream (tracing.h) — operator
-//    slices reconstructed from begin/end pairs, park intervals as
-//    slices, and scheduler/fault events as instants.
+// analyzing and improving execution speed" (§1): write_trace_events
+// renders the event stream (tracing.h) as Chrome trace-event JSON
+// (chrome://tracing, Perfetto) — operator slices placed at their real
+// start timestamps in both executors, park intervals as slices, and
+// scheduler/fault events as instants.
 #pragma once
 
 #include <iosfwd>
@@ -20,19 +15,6 @@
 #include "src/runtime/sim.h"
 
 namespace delirium::tools {
-
-/// Write node timings in Chrome trace-event format: one row per
-/// worker/processor, one slice per operator execution, placed at its
-/// recorded start timestamp (NodeTiming::start) so idle gaps are real.
-void write_chrome_trace(std::ostream& os, const std::vector<NodeTiming>& timings);
-
-/// Write a SimResult's operator timeline. Virtual time is exact, so the
-/// trace shows exact starts, gaps, and per-processor utilization.
-void write_chrome_trace(std::ostream& os, const SimResult& result);
-
-/// Convenience: write to a file; returns false on I/O failure.
-bool write_chrome_trace_file(const std::string& path,
-                             const std::vector<NodeTiming>& timings);
 
 /// Write a trace event stream (Runtime::trace_events(),
 /// SimResult::trace_events) as Chrome trace-event JSON: operator

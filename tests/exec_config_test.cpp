@@ -35,7 +35,6 @@ static_assert(std::is_base_of_v<ExecConfig, SimConfig>,
   static_assert(std::is_same_v<decltype(&SimConfig::member), type ExecConfig::*>,        \
                 #member " is shadowed in SimConfig — it must live in ExecConfig")
 
-DELIRIUM_EXPECT_SHARED_KNOB(bool, enable_node_timing);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, use_priorities);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, cost_hints);
 DELIRIUM_EXPECT_SHARED_KNOB(bool, enable_tail_calls);
@@ -66,7 +65,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
   // away from its default and reading it back through each derived
   // config proves the slice covers the whole shared surface.
   ExecConfig shared;
-  shared.enable_node_timing = !shared.enable_node_timing;
   shared.use_priorities = !shared.use_priorities;
   shared.cost_hints = !shared.cost_hints;
   shared.enable_tail_calls = !shared.enable_tail_calls;
@@ -86,7 +84,6 @@ TEST(ExecConfig, BaseSliceAssignmentCarriesEverySharedKnobToBothConfigs) {
   static_cast<ExecConfig&>(sconfig) = shared;
   for (const ExecConfig* config :
        {static_cast<const ExecConfig*>(&rconfig), static_cast<const ExecConfig*>(&sconfig)}) {
-    EXPECT_EQ(config->enable_node_timing, shared.enable_node_timing);
     EXPECT_EQ(config->use_priorities, shared.use_priorities);
     EXPECT_EQ(config->cost_hints, shared.cost_hints);
     EXPECT_EQ(config->enable_tail_calls, shared.enable_tail_calls);

@@ -8,6 +8,7 @@
 #include "src/apps/retina/retina_ops.h"
 #include "src/delirium.h"
 #include "src/runtime/sim.h"
+#include "src/tools/profile.h"
 #include "src/tools/report.h"
 #include "src/tools/trace.h"
 
@@ -44,7 +45,7 @@ TEST(Integration, TwoApplicationsShareOneRegistryAndRuntime) {
   }
 }
 
-TEST(Integration, NodeTimingReportHasThePaperFormat) {
+TEST(Integration, TimingReportHasThePaperFormat) {
   auto source = R"(
 main()
   iterate { i = 0, incr(i) } while less_than(i, 3), result i
@@ -53,11 +54,11 @@ main()
   register_builtin_operators(registry);
   CompiledProgram program = compile_or_throw(source, registry);
   RuntimeConfig config{.num_workers = 1};
-  config.enable_node_timing = true;
+  config.enable_tracing = true;
   Runtime runtime(registry, config);
   runtime.run(program);
   std::ostringstream os;
-  runtime.print_node_timings(os);
+  tools::print_timing_trace(os, runtime.trace_events(), registry);
   // "call of incr took <ticks>" — the §5.2 diagnostic dump.
   EXPECT_NE(os.str().find("call of incr took "), std::string::npos);
   EXPECT_NE(os.str().find("call of less_than took "), std::string::npos);
@@ -75,17 +76,17 @@ TEST(Integration, SimTimingsFeedTheTraceExporter) {
       compile_or_throw(retina::retina_source(retina::RetinaVersion::kV2Balanced, p), registry);
   SimConfig config;
   config.num_procs = 4;
-  config.enable_node_timing = true;
+  config.enable_tracing = true;
   SimRuntime sim(registry, config);
   SimResult result = sim.run(program);
-  ASSERT_FALSE(result.timings.empty());
+  ASSERT_FALSE(op_slices(result.trace_events).empty());
   std::ostringstream os;
-  tools::write_chrome_trace(os, result);
+  tools::write_trace_events(os, result.trace_events, registry);
   EXPECT_NE(os.str().find("convol_bite"), std::string::npos);
-  // Aggregation over the same timings names every operator.
-  auto agg = tools::aggregate_timings(result.timings);
-  EXPECT_TRUE(agg.count("convol_bite"));
-  EXPECT_TRUE(agg.count("update_bite"));
+  // Aggregation over the same slices names every operator.
+  const tools::CostProfile agg = tools::profile_from_trace(result.trace_events, registry);
+  EXPECT_TRUE(agg.operators.count("convol_bite"));
+  EXPECT_TRUE(agg.operators.count("update_bite"));
 }
 
 TEST(Integration, RunStatsAreConsistent) {

@@ -111,21 +111,22 @@ TEST(RetinaParallelProperties, NoCopyOnWriteCopies) {
   EXPECT_EQ(runtime.last_stats().cow_copies, 0u);
 }
 
-TEST(RetinaParallelProperties, NodeTimingsNameTheOperators) {
+TEST(RetinaParallelProperties, TraceSlicesNameTheOperators) {
   const RetinaParams p = small_params();
   OperatorRegistry registry;
   register_builtin_operators(registry);
   register_retina_operators(registry, p);
   RuntimeConfig config{.num_workers = 2};
-  config.enable_node_timing = true;
+  config.enable_tracing = true;
   Runtime runtime(registry, config);
   delirium_run(p, RetinaVersion::kV1Imbalanced, runtime);
 
   int convol_bites = 0;
   int post_ups = 0;
-  for (const NodeTiming& t : runtime.node_timings()) {
-    if (t.label == "convol_bite") ++convol_bites;
-    if (t.label == "post_up") ++post_ups;
+  for (const OpSlice& s : op_slices(runtime.trace_events())) {
+    const std::string& op = registry.at(static_cast<size_t>(s.op)).info.name;
+    if (op == "convol_bite") ++convol_bites;
+    if (op == "post_up") ++post_ups;
   }
   EXPECT_EQ(convol_bites, p.num_iter * kKernelSize * kQuarters);
   EXPECT_EQ(post_ups, p.num_iter * kKernelSize);

@@ -78,6 +78,38 @@ inline int64_t eval_int(const std::string& source, int workers = 2) {
   return eval(source, workers).as_int();
 }
 
+/// A registry of pass-through unary operators named `names`, in index
+/// order, for resolving the operator indices of hand-built traces.
+inline std::shared_ptr<OperatorRegistry> named_registry(
+    std::initializer_list<const char*> names) {
+  auto reg = std::make_shared<OperatorRegistry>();
+  for (const char* name : names) {
+    reg->add(name, 1, [](OpContext& ctx) { return ctx.take(0); });
+  }
+  return reg;
+}
+
+/// One operator attempt of a hand-built trace; `op` is a registry index.
+struct SliceSpec {
+  int32_t op = -1;
+  int16_t worker = 0;
+  int64_t start = 0;
+  int64_t duration = 0;
+};
+
+/// A trace event stream with one kOpBegin/kOpEnd pair (attempt 0) per
+/// spec, in order, stamped with ascending sequence numbers — the input
+/// of everything that reads op_slices.
+inline std::vector<TraceEvent> op_pair_events(const std::vector<SliceSpec>& slices) {
+  std::vector<TraceEvent> events;
+  for (const SliceSpec& s : slices) {
+    events.push_back({s.start, events.size(), 0, s.op, s.worker, TraceEventKind::kOpBegin});
+    events.push_back(
+        {s.start + s.duration, events.size(), 0, s.op, s.worker, TraceEventKind::kOpEnd});
+  }
+  return events;
+}
+
 // ---------------------------------------------------------------------------
 // ExecutorFixture: cross-executor equivalence matrix
 // ---------------------------------------------------------------------------

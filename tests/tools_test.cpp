@@ -1,5 +1,5 @@
-// Tools module tests: report tables, timing aggregation, medians, and
-// Chrome trace export.
+// Tools module tests: report tables, per-operator aggregation of trace
+// slices, medians, Chrome trace export, and the delc CLI contract.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -8,13 +8,17 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "src/delirium.h"
+#include "src/tools/profile.h"
 #include "src/tools/report.h"
 #include "src/tools/trace.h"
+#include "tests/test_util.h"
 
 namespace delirium::tools {
 namespace {
@@ -43,21 +47,23 @@ TEST(Table, Formatters) {
 }
 
 TEST(Aggregate, ComputesPerOpStats) {
-  std::vector<NodeTiming> timings = {
-      {"op_a", "t", 100, 0, 0}, {"op_a", "t", 300, 1, 1}, {"op_b", "t", 50, 0, 2}};
-  auto agg = aggregate_timings(timings);
-  EXPECT_EQ(agg.at("op_a").invocations, 2);
-  EXPECT_EQ(agg.at("op_a").total, 400);
-  EXPECT_EQ(agg.at("op_a").min, 100);
-  EXPECT_EQ(agg.at("op_a").max, 300);
-  EXPECT_DOUBLE_EQ(agg.at("op_a").mean(), 200.0);
-  EXPECT_EQ(agg.at("op_b").invocations, 1);
+  auto reg = testing::named_registry({"op_a", "op_b"});
+  const CostProfile profile = profile_from_trace(
+      testing::op_pair_events({{0, 0, 0, 100}, {0, 1, 0, 300}, {1, 0, 100, 50}}), *reg);
+  const LogHistogram& a = profile.operators.at("op_a");
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(a.total(), 400);
+  EXPECT_EQ(a.min(), 100);
+  EXPECT_EQ(a.max(), 300);
+  EXPECT_EQ(profile.operators.at("op_b").count(), 1u);
 }
 
 TEST(Aggregate, PrintTraceRespectsLimit) {
-  std::vector<NodeTiming> timings(10, NodeTiming{"op", "t", 5, 0, 0});
+  auto reg = testing::named_registry({"op"});
+  std::vector<testing::SliceSpec> slices;
+  for (int i = 0; i < 10; ++i) slices.push_back({0, 0, 10 * i, 5});
   std::ostringstream os;
-  print_timing_trace(os, timings, 3);
+  print_timing_trace(os, testing::op_pair_events(slices), *reg, 3);
   EXPECT_NE(os.str().find("call of op took 5"), std::string::npos);
   EXPECT_NE(os.str().find("(7 more)"), std::string::npos);
 }
@@ -73,10 +79,9 @@ TEST(Median, OddAndRepeatable) {
 }
 
 TEST(Trace, EmitsValidShapedJson) {
-  std::vector<NodeTiming> timings = {
-      {"alpha", "main", 1500, 0, 0}, {"beta \"q\"", "main", 2500, 1, 1}};
+  auto reg = testing::named_registry({"alpha", "beta \"q\""});
   std::ostringstream os;
-  write_chrome_trace(os, timings);
+  write_trace_events(os, testing::op_pair_events({{0, 0, 0, 1500}, {1, 1, 0, 2500}}), *reg);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find(R"("name": "alpha")"), std::string::npos);
@@ -91,19 +96,19 @@ TEST(Trace, RoundTripFromARealRun) {
   CompiledProgram program = compile_or_throw(
       "main() iterate { i = 0, incr(i) } while less_than(i, 20), result i", registry);
   RuntimeConfig config{.num_workers = 2};
-  config.enable_node_timing = true;
+  config.enable_tracing = true;
   Runtime runtime(registry, config);
   runtime.run(program);
-  ASSERT_FALSE(runtime.node_timings().empty());
+  const size_t slices = op_slices(runtime.trace_events()).size();
+  ASSERT_GT(slices, 0u);
   const std::string path = ::testing::TempDir() + "/delirium_trace_test.json";
-  ASSERT_TRUE(write_chrome_trace_file(path, runtime.node_timings()));
+  ASSERT_TRUE(write_trace_events_file(path, runtime.trace_events(), registry));
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("incr"), std::string::npos);
   // Crude balance check: events exist for the run.
-  EXPECT_GE(std::count(content.begin(), content.end(), '{'),
-            static_cast<long>(runtime.node_timings().size()));
+  EXPECT_GE(std::count(content.begin(), content.end(), '{'), static_cast<long>(slices));
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +250,124 @@ TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   EXPECT_EQ(off_status, 0);
   EXPECT_NE(off.find("\"enabled\": false"), std::string::npos) << off;
   EXPECT_NE(off.find("\"findings\""), std::string::npos) << off;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+// Every `"name": {"count": N, "total_ns": T` row of a metrics JSON's
+// operators section, as name -> {count, total_ns}.
+std::map<std::string, std::pair<uint64_t, int64_t>> metrics_operators(
+    const std::string& json) {
+  const size_t begin = json.find("\"operators\": {");
+  const std::string section = json.substr(begin, json.find("\n  }", begin) - begin);
+  std::map<std::string, std::pair<uint64_t, int64_t>> ops;
+  const std::regex row(R"re("([^"]+)": \{"count": (\d+), "total_ns": (\d+))re");
+  for (std::sregex_iterator it(section.begin(), section.end(), row), end; it != end; ++it) {
+    ops[(*it)[1]] = {std::stoull((*it)[2]), std::stoll((*it)[3])};
+  }
+  return ops;
+}
+
+// name -> count of every operator of a cost profile JSON.
+std::map<std::string, uint64_t> profile_counts(const std::string& json) {
+  std::map<std::string, uint64_t> counts;
+  const std::regex row(R"re("([^"]+)": \{\s*"count": (\d+))re");
+  for (std::sregex_iterator it(json.begin(), json.end(), row), end; it != end; ++it) {
+    counts[(*it)[1]] = std::stoull((*it)[2]);
+  }
+  return counts;
+}
+
+TEST(Cli, MetricsCountEveryOperatorAttemptOnBothExecutors) {
+  // --metrics and --profile-out read the trace's operator slices: one per
+  // attempt, so a fault-free run counts each operator's invocations, and
+  // the slices add up to the operator_ticks that --stats prints. Both
+  // hold for an instance session (reported once the session closes) and
+  // when full trace rings overwrite most of the events.
+  const std::string program = ::testing::TempDir() + "/delc_metrics_test.dlr";
+  {
+    std::ofstream out(program);
+    out << "sq(x) mul(x, x)\n"
+        << "count(n) iterate { i = 0, incr(i) } while less_than(i, n), result i\n"
+        << "main() add(sq(count(10)), 1)\n";
+  }
+  const std::string metrics = ::testing::TempDir() + "/delc_metrics_test.json";
+  const std::string profile = ::testing::TempDir() + "/delc_metrics_test_profile.json";
+  const std::map<std::string, uint64_t> invocations = {
+      {"add", 1}, {"incr", 10}, {"less_than", 11}, {"mul", 1}};
+  struct Case {
+    std::string env;
+    std::string flags;
+    uint64_t runs;
+  };
+  const std::vector<Case> cases = {
+      {"-u DELIRIUM_TRACE_CAPACITY", "--run --workers 2", 1},
+      {"-u DELIRIUM_TRACE_CAPACITY", "--sim 4", 1},
+      {"-u DELIRIUM_TRACE_CAPACITY", "--run --workers 2 --instances 2", 2},
+      {"-u DELIRIUM_TRACE_CAPACITY", "--sim 4 --instances 2", 2},
+      {"DELIRIUM_TRACE_CAPACITY=16", "--run --workers 2", 1},
+      {"DELIRIUM_TRACE_CAPACITY=16", "--run --workers 1 --instances 3", 3},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.env + " " + c.flags;
+    std::remove(metrics.c_str());
+    std::remove(profile.c_str());
+    auto [status, out] = run_command(
+        "env -u DELIRIUM_TRACE -u DELIRIUM_EXECUTOR " + c.env + " " +
+        std::string(DELIRIUM_DELC_PATH) + " " + c.flags + " --stats --metrics " + metrics +
+        " --profile-out " + profile + " " + program + " 2>/dev/null");
+    ASSERT_EQ(status, 0) << name << "\n" << out;
+    EXPECT_NE(out.find("result: 101"), std::string::npos) << out;
+    std::map<std::string, uint64_t> expected;
+    for (const auto& [op, n] : invocations) expected[op] = n * c.runs;
+    const std::string json = read_file(metrics);
+    int64_t total_ns = 0;
+    std::map<std::string, uint64_t> counts;
+    for (const auto& [op, row] : metrics_operators(json)) {
+      counts[op] = row.first;
+      total_ns += row.second;
+    }
+    EXPECT_EQ(counts, expected) << name << "\n" << json;
+    EXPECT_EQ(profile_counts(read_file(profile)), expected) << name;
+    std::smatch ticks;
+    ASSERT_TRUE(std::regex_search(out, ticks, std::regex(R"(operator_ticks:\s+(\d+))")))
+        << out;
+    EXPECT_GT(std::stoll(ticks[1]), 0) << name;
+    EXPECT_EQ(std::stoll(ticks[1]), total_ns) << name;
+  }
+}
+
+TEST(Cli, TraceRingLossIsReported) {
+  // A full trace ring overwrites its oldest events. Counts and profiles
+  // keep them (the ring folds what it overwrites), but the --trace-events
+  // timeline cannot, so delc says so on stderr.
+  const std::string delc = "env -u DELIRIUM_TRACE -u DELIRIUM_EXECUTOR " +
+                           std::string(DELIRIUM_DELC_PATH) + " --run --workers 1 ";
+  const std::string outputs = ::testing::TempDir() + "/delc_ring_loss_test.json " +
+                              std::string(DELIRIUM_PROGRAMS_DIR) + "/fib.dlr 2>&1 >/dev/null";
+  const std::regex warning(
+      R"(delc: warning: full trace rings overwrote \d+ events.*DELIRIUM_TRACE_CAPACITY)");
+  auto [small_status, small] =
+      run_command("DELIRIUM_TRACE_CAPACITY=16 " + delc + "--trace-events " + outputs);
+  EXPECT_EQ(small_status, 0) << small;
+  EXPECT_EQ(std::distance(std::sregex_iterator(small.begin(), small.end(), warning),
+                          std::sregex_iterator()),
+            1)
+      << small;
+
+  for (const char* exact : {"--metrics ", "--profile-out "}) {
+    auto [status, out] = run_command("DELIRIUM_TRACE_CAPACITY=16 " + delc + exact + outputs);
+    EXPECT_EQ(status, 0) << out;
+    EXPECT_EQ(out.find("warning"), std::string::npos) << exact << out;
+  }
+
+  auto [default_status, full] =
+      run_command("env -u DELIRIUM_TRACE_CAPACITY " + delc + "--trace-events " + outputs);
+  EXPECT_EQ(default_status, 0) << full;
+  EXPECT_EQ(full.find("DELIRIUM_TRACE_CAPACITY"), std::string::npos) << full;
 }
 
 }  // namespace

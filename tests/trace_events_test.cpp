@@ -1,14 +1,17 @@
 // Trace-event subsystem tests (docs/OBSERVABILITY.md): stream shape,
 // Chrome JSON export validity, sim-vs-threaded agreement on the
 // executor-independent event projection, ring overflow accounting, the
-// RunStats reset-between-runs contract, and the metrics golden file.
+// operator-slice pairing rule, the RunStats reset-between-runs contract,
+// and the metrics golden file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/runtime/fault.h"
@@ -330,6 +333,266 @@ TEST(TraceEvents, EnvEnablesTracingWithoutConfig) {
 }
 
 // ---------------------------------------------------------------------------
+// Operator slices: the one pairing rule behind every per-operator timing
+// ---------------------------------------------------------------------------
+
+TEST(TraceEvents, OpSlicesSkipUnmatchedEndsAndOpenBegins) {
+  // {ts, seq, arg, op, worker, kind}
+  const std::vector<TraceEvent> events = {
+      {10, 0, 0, 1, 0, TraceEventKind::kOpBegin},
+      {15, 1, 0, 2, 0, TraceEventKind::kOpEnd},   // other operator: skipped
+      {17, 2, 0, 1, 1, TraceEventKind::kOpEnd},   // nothing open on worker 1
+      {20, 3, 0, 1, 0, TraceEventKind::kOpEnd},   // closes the begin at ts 10
+      {30, 4, 2, 0, -1, TraceEventKind::kOpBegin},
+      {25, 5, 2, 0, -1, TraceEventKind::kOpEnd},  // ends before it began
+      {40, 6, 0, 3, 1, TraceEventKind::kOpBegin},  // never closed
+  };
+  const std::vector<OpSlice> slices = op_slices(events);
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[0].op, 1);
+  EXPECT_EQ(slices[0].worker, 0);
+  EXPECT_EQ(slices[0].start, 10);
+  EXPECT_EQ(slices[0].duration, 10);
+  EXPECT_EQ(slices[0].attempt, 0);
+  EXPECT_EQ(slices[1].op, 0);
+  EXPECT_EQ(slices[1].worker, -1);
+  EXPECT_EQ(slices[1].start, 30);
+  EXPECT_EQ(slices[1].duration, 0);
+  EXPECT_EQ(slices[1].attempt, 2);
+}
+
+TEST(TraceEvents, SimSlicesAreFixedCostsAndSumToOperatorTicks) {
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  CompiledProgram program = compile_unoptimized(kFanProgram, *reg);
+  const std::unordered_map<std::string, Ticks> costs = {{"add", 700}, {"mul", 1300}};
+  for (int procs : {1, 4}) {
+    SimConfig config;
+    config.num_procs = procs;
+    config.enable_tracing = true;
+    config.fixed_costs = &costs;
+    SimRuntime sim(*reg, config);
+    const SimResult r = sim.run(program);
+    const std::vector<OpSlice> slices = op_slices(r.trace_events);
+    EXPECT_EQ(slices.size(), r.stats.operator_invocations) << "procs=" << procs;
+    Ticks sum = 0;
+    for (const OpSlice& s : slices) {
+      EXPECT_EQ(s.duration, costs.at(reg->at(static_cast<size_t>(s.op)).info.name));
+      sum += s.duration;
+    }
+    EXPECT_EQ(sum, r.stats.operator_ticks) << "procs=" << procs;
+  }
+}
+
+TEST(TraceEvents, ThreadedSlicesCountEachOperatorsInvocations) {
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  std::atomic<uint64_t> a_calls{0};
+  std::atomic<uint64_t> b_calls{0};
+  reg->add("tick_a", 1, [&a_calls](OpContext& ctx) {
+    ++a_calls;
+    return Value::of(ctx.arg_int(0) + 1);
+  });
+  reg->add("tick_b", 1, [&b_calls](OpContext& ctx) {
+    ++b_calls;
+    return Value::of(ctx.arg_int(0) * 2);
+  });
+  CompiledProgram program = compile_unoptimized(R"(
+    leaf(x) tick_b(tick_a(x))
+    main() add(add(leaf(1), leaf(2)), add(leaf(3), tick_a(4)))
+  )",
+                                                *reg);
+  for (int workers : {1, 4}) {
+    a_calls = 0;
+    b_calls = 0;
+    RuntimeConfig config;
+    config.num_workers = workers;
+    config.enable_tracing = true;
+    Runtime runtime(*reg, config);
+    runtime.run(program);
+    ASSERT_EQ(runtime.trace_events_overwritten(), 0u);
+    std::map<std::string, uint64_t> per_op;
+    uint64_t count = 0;
+    Ticks sum = 0;
+    for (const OpSlice& s : op_slices(runtime.trace_events())) {
+      ++per_op[reg->at(static_cast<size_t>(s.op)).info.name];
+      ++count;
+      sum += s.duration;
+    }
+    EXPECT_EQ(per_op["tick_a"], a_calls.load()) << "workers=" << workers;
+    EXPECT_EQ(per_op["tick_b"], b_calls.load()) << "workers=" << workers;
+    EXPECT_EQ(per_op["add"], 3u) << "workers=" << workers;
+    EXPECT_EQ(count, runtime.last_stats().operator_invocations) << "workers=" << workers;
+    // The threaded runtime's operator time is the sum of its slices.
+    EXPECT_EQ(runtime.last_stats().operator_ticks, sum) << "workers=" << workers;
+  }
+  // Untraced, it keeps no operator clock at all.
+  RuntimeConfig untraced_config;
+  untraced_config.num_workers = 2;
+  Runtime untraced(*reg, untraced_config);
+  untraced.run(program);
+  EXPECT_EQ(untraced.last_stats().operator_ticks, 0);
+}
+
+TEST(TraceEvents, SlicesCountRetriedAttempts) {
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  reg->set_fault_plan(
+      std::make_shared<const FaultPlan>(FaultPlan::parse("add:throw:every=3:seed=7:"
+                                                         "fail_attempts=1")));
+  CompiledProgram program = compile_unoptimized(kFanProgram, *reg);
+
+  // A slice is one attempt: a retried invocation contributes one slice
+  // per attempt, on both executors.
+  RuntimeConfig config;
+  config.num_workers = 4;
+  config.enable_tracing = true;
+  config.max_retries = 2;
+  Runtime runtime(*reg, config);
+  runtime.run(program);
+  const RunStats& stats = runtime.last_stats();
+  ASSERT_GT(stats.retries, 0u);
+  EXPECT_EQ(op_slices(runtime.trace_events()).size(),
+            stats.operator_invocations + stats.retries);
+
+  SimConfig sim_config;
+  sim_config.num_procs = 2;
+  sim_config.enable_tracing = true;
+  sim_config.max_retries = 2;
+  SimRuntime sim(*reg, sim_config);
+  const SimResult r = sim.run(program);
+  EXPECT_EQ(r.stats.retries, stats.retries);
+  EXPECT_EQ(op_slices(r.trace_events).size(), r.stats.operator_invocations + r.stats.retries);
+}
+
+TEST(TraceEvents, OperatorTicksUnderInjectedFaultsPerExecutor) {
+  // What operator_ticks means once attempts fail or stall (RunStats):
+  // the simulator charges each successful attempt's cost and nothing
+  // else, while the threaded runtime sums every slice, failed attempts
+  // and injected stalls included.
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  constexpr Ticks kStallNs = 200000;
+  reg->set_fault_plan(std::make_shared<const FaultPlan>(
+      FaultPlan::parse("add:throw:every=3:seed=7:fail_attempts=1,mul:stall=" +
+                       std::to_string(kStallNs) + ":every=2:seed=3")));
+  CompiledProgram program = compile_unoptimized(kFanProgram, *reg);
+  auto slice_sum = [](const std::vector<TraceEvent>& events) {
+    Ticks sum = 0;
+    for (const OpSlice& s : op_slices(events)) sum += s.duration;
+    return sum;
+  };
+
+  const std::unordered_map<std::string, Ticks> costs = {{"add", 700}, {"mul", 1300}};
+  SimConfig sim_config;
+  sim_config.num_procs = 2;
+  sim_config.enable_tracing = true;
+  sim_config.max_retries = 2;
+  sim_config.fixed_costs = &costs;
+  SimRuntime sim(*reg, sim_config);
+  const SimResult r = sim.run(program);
+  ASSERT_GT(r.stats.retries, 0u);
+  const uint64_t sim_stalls = r.stats.faults_injected - r.stats.retries;
+  ASSERT_GT(sim_stalls, 0u);
+  // 11 adds and 8 muls, each charged once; a failed attempt's slice is
+  // empty and a stall lies inside its slice but outside the charge.
+  EXPECT_EQ(r.stats.operator_ticks, 11 * 700 + 8 * 1300);
+  EXPECT_EQ(slice_sum(r.trace_events),
+            r.stats.operator_ticks + static_cast<Ticks>(sim_stalls) * kStallNs);
+
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.enable_tracing = true;
+  config.max_retries = 2;
+  Runtime runtime(*reg, config);
+  runtime.run(program);
+  const RunStats& stats = runtime.last_stats();
+  EXPECT_EQ(stats.retries, r.stats.retries);
+  EXPECT_EQ(stats.faults_injected - stats.retries, sim_stalls);
+  EXPECT_EQ(op_slices(runtime.trace_events()).size(),
+            stats.operator_invocations + stats.retries);
+  EXPECT_EQ(stats.operator_ticks, slice_sum(runtime.trace_events()));
+  EXPECT_GE(stats.operator_ticks, static_cast<Ticks>(sim_stalls) * kStallNs);
+}
+
+TEST(TraceEvents, RingKeepsTheSlicesItOverwrites) {
+  // A hand-built single-worker stream through a 16-slot ring: the
+  // retained window's slices plus overwritten_slices() must equal the
+  // slices of the whole stream, whatever the window cuts through (a
+  // trailing instant moves the cut from a begin to an end).
+  int split_windows = 0;
+  for (int pad = 0; pad < 2; ++pad) {
+    for (int pairs = 0; pairs < 24; ++pairs) {
+      std::vector<TraceEvent> stream;
+      stream.reserve(2 * static_cast<size_t>(pairs) + 1);
+      for (int i = 0; i < pairs; ++i) {
+        const int32_t op = i % 3;
+        const int64_t ts = 100 * i;
+        stream.push_back({ts, stream.size(), 0, op, 0, TraceEventKind::kOpBegin});
+        stream.push_back({ts + 10 + i, stream.size(), 0, op, 0, TraceEventKind::kOpEnd});
+      }
+      if (pad > 0) {
+        stream.push_back({100 * pairs, stream.size(), 0, -1, 0, TraceEventKind::kSteal});
+      }
+      TraceRing ring;
+      ring.init(16);
+      for (const TraceEvent& e : stream) ring.push(e);
+      std::vector<TraceEvent> window;
+      ring.collect(window);
+      if (ring.overwritten() > 0 && window.front().kind == TraceEventKind::kOpEnd) {
+        ++split_windows;
+      }
+      std::vector<LogHistogram> got = op_histograms(window);
+      ring.overwritten_slices(got);
+      const std::vector<LogHistogram> want = op_histograms(stream);
+      const std::string where =
+          "pad=" + std::to_string(pad) + " pairs=" + std::to_string(pairs);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t op = 0; op < want.size(); ++op) {
+        EXPECT_EQ(got[op].count(), want[op].count()) << where << " op=" << op;
+        EXPECT_EQ(got[op].total(), want[op].total()) << where << " op=" << op;
+        EXPECT_EQ(got[op].buckets(), want[op].buckets()) << where << " op=" << op;
+      }
+    }
+  }
+  EXPECT_GT(split_windows, 0);
+}
+
+TEST(TraceEvents, OverflowingRingsKeepCountsAndOperatorTicksExact) {
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  CompiledProgram program = compile_unoptimized(kFanProgram, *reg);
+  for (int workers : {1, 2}) {
+    RuntimeConfig config;
+    config.num_workers = workers;
+    config.enable_tracing = true;
+    config.trace_capacity = 16;
+    Runtime runtime(*reg, config);
+    runtime.run(program);
+    ASSERT_GT(runtime.trace_events_overwritten(), 0u);
+    std::vector<LogHistogram> by_op = op_histograms(runtime.trace_events());
+    ASSERT_FALSE(runtime.trace_overwritten_slices().empty());
+    uint64_t count = 0;
+    Ticks ticks = 0;
+    for (size_t op = 0; op < runtime.trace_overwritten_slices().size(); ++op) {
+      if (op >= by_op.size()) by_op.resize(op + 1);
+      by_op[op].merge(runtime.trace_overwritten_slices()[op]);
+    }
+    std::map<std::string, uint64_t> per_op;
+    for (size_t op = 0; op < by_op.size(); ++op) {
+      if (by_op[op].count() == 0) continue;
+      per_op[reg->at(op).info.name] = by_op[op].count();
+      count += by_op[op].count();
+      ticks += by_op[op].total();
+    }
+    const std::map<std::string, uint64_t> want = {{"add", 11}, {"mul", 8}};
+    EXPECT_EQ(per_op, want) << "workers=" << workers;
+    EXPECT_EQ(count, runtime.last_stats().operator_invocations) << "workers=" << workers;
+    EXPECT_EQ(runtime.last_stats().operator_ticks, ticks) << "workers=" << workers;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // RunStats reset between runs (regression: counters must not accumulate)
 // ---------------------------------------------------------------------------
 
@@ -362,19 +625,18 @@ TEST(StatsReset, TraceAndTimingsResetBetweenRuns) {
   RuntimeConfig config;
   config.num_workers = 2;
   config.enable_tracing = true;
-  config.enable_node_timing = true;
   Runtime runtime(*reg, config);
 
   runtime.run(program);
   // Raw stream size varies run-to-run (steal/park events depend on the
-  // schedule); the deterministic projection and the timing count do not.
+  // schedule); the deterministic projection and the slice count do not.
   const std::vector<std::string> first =
       deterministic_event_multiset(runtime.trace_events(), *reg);
-  const size_t timing_size = runtime.node_timings().size();
+  const size_t slice_count = op_slices(runtime.trace_events()).size();
   ASSERT_FALSE(first.empty());
   runtime.run(program);
   EXPECT_EQ(deterministic_event_multiset(runtime.trace_events(), *reg), first);
-  EXPECT_EQ(runtime.node_timings().size(), timing_size);
+  EXPECT_EQ(op_slices(runtime.trace_events()).size(), slice_count);
 }
 
 TEST(StatsReset, FaultedRunDoesNotLeakIntoNextRun) {
@@ -467,17 +729,19 @@ RunStats golden_stats() {
   return s;
 }
 
-std::vector<NodeTiming> golden_timings() {
-  return {
-      {"convolve", "main", 1500, 0, 0, 100},
-      {"convolve", "main", 2500, 1, 1, 400},
-      {"post_up", "main", 300, 0, 2, 2100},
-  };
+// The golden run's operators: index 0 is "convolve", 1 is "post_up".
+std::shared_ptr<OperatorRegistry> golden_registry() {
+  return testing::named_registry({"convolve", "post_up"});
+}
+
+std::vector<TraceEvent> golden_events() {
+  return testing::op_pair_events({{0, 0, 100, 1500}, {0, 1, 400, 2500}, {1, 0, 2100, 300}});
 }
 
 TEST(Metrics, GoldenJson) {
+  auto reg = golden_registry();
   tools::MetricsRegistry m;
-  m.observe_run(golden_stats(), golden_timings());
+  m.observe_run(golden_stats(), golden_events(), *reg);
   std::ostringstream os;
   m.to_json(os);
 
@@ -490,9 +754,10 @@ TEST(Metrics, GoldenJson) {
 }
 
 TEST(Metrics, PrometheusShape) {
+  auto reg = golden_registry();
   tools::MetricsRegistry m;
-  m.observe_run(golden_stats(), golden_timings());
-  m.observe_run(golden_stats(), golden_timings());  // counters sum, peak maxes
+  m.observe_run(golden_stats(), golden_events(), *reg);
+  m.observe_run(golden_stats(), golden_events(), *reg);  // counters sum, peak maxes
   std::ostringstream os;
   m.to_prometheus(os);
   const std::string text = os.str();
