@@ -56,7 +56,7 @@ class ExprGen {
   }
 
   void emit_let(int budget, std::vector<std::string>& scope) {
-    const std::string var = "v" + std::to_string(var_counter_++);
+    const std::string var = std::string("v").append(std::to_string(var_counter_++));
     os_ << "let " << var << " = ";
     emit((budget - 1) / 2, scope);
     os_ << " in ";

@@ -42,7 +42,10 @@ std::string const_label(const ConstValue& v) {
 }
 
 std::string node_id(uint32_t tmpl, uint32_t node) {
-  return "t" + std::to_string(tmpl) + "_n" + std::to_string(node);
+  return std::string("t")
+      .append(std::to_string(tmpl))
+      .append("_n")
+      .append(std::to_string(node));
 }
 
 }  // namespace
@@ -56,7 +59,7 @@ void write_template_dot(std::ostream& os, const Template& tmpl, uint32_t index) 
     const Node& n = tmpl.nodes[ni];
     std::string label = n.debug_label;
     if (n.kind == NodeKind::kConst) label = const_label(n.literal);
-    if (label.empty()) label = "n" + std::to_string(ni);
+    if (label.empty()) label.append("n").append(std::to_string(ni));
     if (n.is_tail) label += " [tail]";
     os << "    " << node_id(index, ni) << " [shape=" << node_shape(n.kind) << ",label=\""
        << escape(label) << "\"];\n";

@@ -307,9 +307,8 @@ void register_builtin_operators(OperatorRegistry& r) {
       .pure();
   r.add("package_reverse", 1,
         [](OpContext& ctx) {
-          std::vector<Value> elems = ctx.arg(0).as_tuple().elems;
-          std::reverse(elems.begin(), elems.end());
-          return Value::tuple(std::move(elems));
+          const std::vector<Value>& elems = ctx.arg(0).as_tuple().elems;
+          return Value::tuple(std::vector<Value>(elems.rbegin(), elems.rend()));
         })
       .pure();
   r.add("package_slice", 3,

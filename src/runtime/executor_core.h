@@ -5,12 +5,13 @@
 // construction*: everything that defines those semantics — the
 // activation lifecycle (port fill, firing rule, continuation links), the
 // copy-on-write block discipline and its kUnique fast path, fault
-// capture / retry-with-snapshot / injection, and trace + RunStats
-// emission — lives once, in ExecutorCore<Machine>. A `Machine` is a
-// small policy class (the threaded Runtime or the virtual-time
-// SimRuntime) that supplies only what genuinely differs between real and
-// simulated hardware: the clock, the ready-queue dispatch, how stalls
-// and backoff are charged, and where faults/traces/final results land.
+// capture / retry-with-snapshot / injection, trace + RunStats emission,
+// the live-activation ledger and the affinity placement rule — lives
+// once, in ExecutorCore<Machine>. A `Machine` is a small policy class
+// (the threaded Runtime or the virtual-time SimRuntime) that supplies
+// only what genuinely differs between real and simulated hardware: the
+// clock, the ready-queue dispatch, how stalls and backoff are charged,
+// and where faults/traces/final results land.
 //
 // Adding a runtime feature therefore means editing this file once, not
 // mirroring it into runtime.cpp and sim.cpp and hoping the
@@ -29,9 +30,6 @@
 //                                         // topology-charged block pull:
 //                                         // calibrated spin (wall) or
 //                                         // cost += penalty_ns (virtual)
-//   int pick_worker_in_domain(domain, home_worker);
-//                                         // data-affinity target inside a
-//                                         // NUMA domain (multi-domain only)
 //   void charge_stall(ns, cost);          // injected stall
 //   void charge_backoff(ns, cost);        // retry backoff
 //   void busy_begin(worker, def) / busy_end(worker);   // watchdog busy dump
@@ -44,7 +42,7 @@
 //   uint64_t op_arrival(def, op_index, has_plan);  // per-op arrival counter
 //   int last_affinity_worker(op_index);   // operator-affinity memory
 //   void note_affinity(op_index, worker);
-//   void on_activation_created(act) / on_activation_destroyed(act);  // ledger
+//   void on_activation_created(act);      // per-instance activation budget
 //
 // Results and faults are routed by the *activation's* opaque run token
 // (Activation::run), not by any per-machine "current run" notion: the
@@ -449,11 +447,12 @@ class ExecutorCore {
              !c.peak_live_activations.compare_exchange_weak(peak, static_cast<uint64_t>(live),
                                                             std::memory_order_relaxed)) {
       }
+      owner->ledger_link(this);
       owner->on_activation_created(this);
     }
 
     ~Activation() {
-      owner->on_activation_destroyed(this);
+      owner->ledger_unlink(this);
       owner->counters_.live_activations.fetch_sub(1, std::memory_order_relaxed);
     }
 
@@ -485,6 +484,10 @@ class ExecutorCore {
     uint32_t cont_node = 0;
     std::shared_ptr<Collector> collector;
     uint32_t collector_index = 0;
+    /// Links of the live-activation ledger (for_each_live), guarded by
+    /// this activation's shard mutex.
+    Activation* ledger_prev = nullptr;
+    Activation* ledger_next = nullptr;
   };
 
   /// Join object for kParMap (§9.2 dynamic parallelism): one child
@@ -502,11 +505,16 @@ class ExecutorCore {
   // -- Setup -----------------------------------------------------------------
 
   /// Point the core at the Machine's resolved config (after its
-  /// environment overrides). Call once, from the Machine's constructor,
-  /// before any activation exists.
-  void init_exec(const ExecConfig* config) {
+  /// environment overrides) and its worker count. Call once, from the
+  /// Machine's constructor, before any activation exists.
+  void init_exec(const ExecConfig* config, int num_workers) {
     exec_config_ = config;
+    num_workers_ = num_workers;
     numa_active_ = config->topology.models_cost();
+    if (config->topology.num_domains > 1) {
+      domain_rr_ = std::vector<std::atomic<uint32_t>>(
+          static_cast<size_t>(config->topology.num_domains));
+    }
   }
 
   const ExecConfig& exec_config() const { return *exec_config_; }
@@ -677,8 +685,9 @@ class ExecutorCore {
     }
   }
 
-  /// Affinity preference (§9.3) of a ready node, or -1. Shared by both
-  /// machines' enqueue paths; the Machine owns the affinity memory.
+  /// Affinity preference (§9.3) of a ready node: a worker of this
+  /// machine, or -1 for none. Shared by both machines' enqueue paths; the
+  /// Machine owns the affinity memory.
   int affinity_preference(const Activation& act, const Node& n) {
     // Cost-profiled critical-path nodes pin to the producing worker's
     // own deque (no affinity routing, no cross-worker inbox hop): the
@@ -686,19 +695,17 @@ class ExecutorCore {
     // which is the cheapest path to "long-pole operators launch first".
     // Schedule-only — values/faults are unchanged (equivalence-tested).
     if (exec_config().cost_hints && n.cost_hinted && n.on_critical_path) return -1;
+    int target = -1;
     if (exec_config().affinity == AffinityMode::kOperator) {
       if (n.kind == NodeKind::kOperator && n.op_index >= 0) {
-        return machine().last_affinity_worker(n.op_index);
+        target = machine().last_affinity_worker(n.op_index);
+      } else if (n.kind == NodeKind::kFused && !n.fused.empty()) {
+        // A fused chain follows its first member: that is the operator
+        // whose cached state the chain touches first.
+        target = machine().last_affinity_worker(n.fused.front().op_index);
       }
-      // A fused chain follows its first member: that is the operator
-      // whose cached state the chain touches first.
-      if (n.kind == NodeKind::kFused && !n.fused.empty()) {
-        return machine().last_affinity_worker(n.fused.front().op_index);
-      }
-    }
-    if (exec_config().affinity == AffinityMode::kData &&
-        (n.kind == NodeKind::kOperator || n.kind == NodeKind::kFused)) {
-      int target = -1;
+    } else if (exec_config().affinity == AffinityMode::kData &&
+               (n.kind == NodeKind::kOperator || n.kind == NodeKind::kFused)) {
       int target_domain = -1;
       size_t best_bytes = 0;
       for (uint16_t i = 0; i < n.num_inputs; ++i) {
@@ -716,20 +723,37 @@ class ExecutorCore {
       }
       // Under a multi-domain topology, data affinity resolves to the
       // block's home *domain*: any worker there reads the block at
-      // intra-domain cost, so the Machine spreads these nodes across the
+      // intra-domain cost, so placement spreads these nodes across the
       // domain's workers instead of serializing on the one home worker.
       if (target >= 0 && target_domain >= 0 && exec_config().locality_scheduling &&
           topology().num_domains > 1) {
-        return machine().pick_worker_in_domain(target_domain, target);
+        target = pick_worker_in_domain(target_domain, target);
       }
-      return target;
     }
-    return -1;
+    // A preference naming no worker of this machine (a block homed by a
+    // larger one) is no preference: both machines place it as unbound.
+    return target < num_workers_ ? target : -1;
   }
 
-  /// NUMA model (§9.3), shared by kOperator and kFused argument
-  /// gathering: pulling a block homed outside `worker`'s domain charges
-  /// the inter-domain per-KiB transfer plus the migration surcharge
+  /// Data-affinity target inside NUMA domain `domain`. Under the
+  /// w % num_domains striping rule its workers are {d, d+D, d+2D, ...}
+  /// below the worker count; a per-domain cursor rotates among them, so
+  /// placement spreads across the home domain instead of hammering the
+  /// single home worker. The cursor is the only shared state: relaxed,
+  /// and deterministic on the single-threaded simulator.
+  int pick_worker_in_domain(int domain, int home_worker) {
+    const int domains = topology().num_domains;
+    if (domain < 0 || domains <= 1 || domain >= domains) return home_worker;
+    const int members = (num_workers_ - domain + domains - 1) / domains;
+    if (members <= 1) return home_worker;
+    const uint32_t k =
+        domain_rr_[static_cast<size_t>(domain)].fetch_add(1, std::memory_order_relaxed);
+    return domain + static_cast<int>(k % static_cast<uint32_t>(members)) * domains;
+  }
+
+  /// NUMA model (§9.3), run on every operator invocation's arguments
+  /// (invoke_operator): pulling a block homed outside `worker`'s domain
+  /// charges the inter-domain per-KiB transfer plus the migration surcharge
   /// (spun on the wall clock or added to the virtual clock, per the
   /// Machine) and re-homes the block to the puller; a same-domain pull
   /// from another worker charges the (usually zero) intra-domain rate.
@@ -759,6 +783,149 @@ class ExecutorCore {
       }
       blk.set_home(worker, dom);
     }
+  }
+
+  // -- Operator invocation ---------------------------------------------------
+
+  using PooledValues = std::vector<Value, PoolAllocator<Value>>;
+
+  /// Fill `to` with a copy of `from` that an attempt can run on without
+  /// touching `from`: shallow Value copies (a reference bump) for
+  /// read-only arguments, deep clones for destructive ones (the kUnique
+  /// path mutates those in place).
+  static void copy_preimage(const OperatorDef& def, const PooledValues& from,
+                            PooledValues& to) {
+    to.clear();
+    to.reserve(from.size());
+    for (size_t i = 0; i < from.size(); ++i) {
+      if (def.is_destructive(i) && from[i].kind() == Value::Kind::kBlock) {
+        to.push_back(Value::of_block(from[i].block_ptr()->clone()));
+      } else {
+        to.push_back(from[i]);
+      }
+    }
+  }
+
+  /// Run one operator invocation on its gathered `args`: block pulls,
+  /// the arrival count, retry eligibility and the pre-image `snapshot`,
+  /// the attempt loop (injection, trace, fault capture and backoff), the
+  /// CoW counters, the affinity note and the result's home. `args` and
+  /// `snapshot` are pool-backed buffers the caller owns, so a fused chain
+  /// reuses one pair for all its members. `member` is null for a
+  /// kOperator node; for a kFused node it names the member running,
+  /// which supplies the operator, the injection node (its pre-fusion id,
+  /// so structural specs land the same faults with fusion on or off) and
+  /// the fault provenance, and has no consume classes. Returns false when
+  /// the invocation faulted: the fault is recorded and `result` stays
+  /// unset, so the node's consumers starve and the run drains to the
+  /// smallest-seq fault.
+  bool invoke_operator(Activation& act, uint32_t node, const FusedMember* member,
+                       PooledValues& args, PooledValues& snapshot, int worker, Ticks start,
+                       Ticks& cost, Value& result) {
+    const Node& n = act.tmpl->nodes[node];
+    const int op_index = member != nullptr ? member->op_index : n.op_index;
+    const OperatorDef& def = registry_.at(static_cast<size_t>(op_index));
+    const std::span<const ConsumeClass> classes =
+        member != nullptr ? std::span<const ConsumeClass>()
+                          : std::span<const ConsumeClass>(n.input_classes);
+    pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
+    counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
+    const FaultPlan* plan = plan_.get();
+    const uint64_t arrival = machine().op_arrival(def, op_index, plan != nullptr);
+
+    // Retry eligibility: pure operators always qualify (fused members
+    // are pure by construction); destructive operators only when the
+    // sole-consumer analysis proved every destructive argument kUnique,
+    // so the pre-image snapshot captures the entire effect of a failed
+    // attempt. kUnknown destructive arguments stay ineligible — their
+    // copy-on-write behavior depends on live reference counts a snapshot
+    // would perturb.
+    int budget = 0;
+    if (max_retries_ > 0) {
+      bool eligible = true;
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (def.is_destructive(i) &&
+            !(i < classes.size() && classes[i] == ConsumeClass::kUnique)) {
+          eligible = false;
+          break;
+        }
+      }
+      if (eligible) budget = max_retries_;
+    }
+    // Restores re-clone from the snapshot, so a second retry never sees
+    // the first retry's writes.
+    if (budget > 0) copy_preimage(def, args, snapshot);
+    const std::span<const ConsumeClass> fast_classes =
+        exec_config().unique_fastpath ? classes : std::span<const ConsumeClass>();
+
+    for (uint32_t attempt = 0;; ++attempt) {
+      FaultDecision fd;
+      if (plan != nullptr) {
+        fd = plan->decide(def.info.name, def.info.pure, act.seq,
+                          member != nullptr ? member->orig_node : node, arrival, attempt);
+        if (fd.action != FaultAction::kNone) {
+          counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      bool injected = false;
+      machine().busy_begin(worker, def);
+      machine().trace_from_core(worker, start + cost, TraceEventKind::kOpBegin, op_index,
+                                attempt);
+      try {
+        if (fd.action == FaultAction::kThrow) {
+          injected = true;
+          throw RuntimeError("injected fault (attempt " + std::to_string(attempt) + ")");
+        }
+        if (fd.action == FaultAction::kStall) machine().charge_stall(fd.stall_ns, cost);
+        const Ticks t0 = machine().op_clock_begin();
+        OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, fast_classes);
+        result = def.fn(ctx);
+        machine().busy_end(worker);
+        // Cost and CoW stats come from the successful attempt only;
+        // failed attempts contribute their backoff.
+        machine().op_note_success(t0, def, op_index, arrival, cost);
+        counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
+        counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
+        if (fd.action == FaultAction::kCorrupt) {
+          // Deterministically wrong-shaped result: consumers that
+          // decompose it fault with exact provenance.
+          result = Value::tuple({});
+        }
+        machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd, op_index,
+                                  attempt);
+        break;
+      } catch (...) {
+        machine().busy_end(worker);
+        machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd, op_index,
+                                  attempt);
+        if (attempt < static_cast<uint32_t>(budget)) {
+          counters_.retries.fetch_add(1, std::memory_order_relaxed);
+          machine().trace_from_core(worker, start + cost, TraceEventKind::kRetry, op_index,
+                                    attempt + 1);
+          const int shift = attempt < 20 ? static_cast<int>(attempt) : 20;
+          machine().charge_backoff(retry_backoff_ns_ << shift, cost);
+          PooledValues restored{PoolAllocator<Value>(&pool_)};
+          copy_preimage(def, snapshot, restored);
+          args = std::move(restored);
+          continue;
+        }
+        if (budget > 0) counters_.retries_exhausted.fetch_add(1, std::memory_order_relaxed);
+        FaultInfo f =
+            member != nullptr
+                ? make_member_fault(act, *member, std::current_exception(), injected)
+                : make_fault(act, node, std::current_exception(), injected);
+        machine().record_fault_from_core(act.run, std::move(f), op_index, start + cost,
+                                         worker);
+        return false;
+      }
+    }
+    if (exec_config().affinity == AffinityMode::kOperator) {
+      machine().note_affinity(op_index, worker);
+    }
+    if (result.kind() == Value::Kind::kBlock) {
+      result.block_ptr()->set_home(worker, topology().domain_of(worker));
+    }
+    return true;
   }
 
   // -- Node execution --------------------------------------------------------
@@ -792,133 +959,18 @@ class ExecutorCore {
         throw RuntimeError("internal: node kind should not reach the ready queue");
 
       case NodeKind::kOperator: {
-        const OperatorDef& def = registry_.at(static_cast<size_t>(n.op_index));
-        // Operator arguments live in pool-backed scratch vectors: the
-        // steady-state hot path allocates nothing from the global heap.
-        using PooledValues = std::vector<Value, PoolAllocator<Value>>;
+        // Operator arguments live in pool-backed scratch vectors. What
+        // the node path still takes from the global heap is each call's
+        // parameter vector and the closure each conditional arm builds.
         PooledValues args{PoolAllocator<Value>(&pool_)};
+        PooledValues snapshot{PoolAllocator<Value>(&pool_)};
         args.reserve(n.num_inputs);
         for (uint16_t i = 0; i < n.num_inputs; ++i) args.push_back(take_input(i));
-
-        pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
-        counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
-        const std::span<const ConsumeClass> classes =
-            exec_config().unique_fastpath ? std::span<const ConsumeClass>(n.input_classes)
-                                          : std::span<const ConsumeClass>();
-        const FaultPlan* plan = plan_.get();
-        const uint64_t arrival = machine().op_arrival(def, n.op_index, plan != nullptr);
-
-        // Retry eligibility: pure operators always qualify; destructive
-        // operators only when the sole-consumer analysis proved every
-        // destructive argument kUnique, so the pre-image snapshot below
-        // captures the entire effect of a failed attempt. kUnknown
-        // destructive arguments stay ineligible — their copy-on-write
-        // behavior depends on live reference counts a snapshot would
-        // perturb.
-        int budget = 0;
-        if (max_retries_ > 0) {
-          bool eligible = true;
-          for (size_t i = 0; i < args.size(); ++i) {
-            if (def.is_destructive(i) &&
-                !(i < n.input_classes.size() &&
-                  n.input_classes[i] == ConsumeClass::kUnique)) {
-              eligible = false;
-              break;
-            }
-          }
-          if (eligible) budget = max_retries_;
-        }
-
-        // Pre-image snapshot: shallow Value copies (a reference bump) for
-        // read-only arguments, deep clones for destructive ones (the
-        // kUnique path mutates those in place). Restores re-clone from the
-        // snapshot so a second retry never sees the first retry's writes.
-        ActivationPool* pool = &pool_;
-        auto restore_from = [&def, pool](const PooledValues& from) {
-          PooledValues to{PoolAllocator<Value>(pool)};
-          to.reserve(from.size());
-          for (size_t i = 0; i < from.size(); ++i) {
-            if (def.is_destructive(i) && from[i].kind() == Value::Kind::kBlock) {
-              to.push_back(Value::of_block(from[i].block_ptr()->clone()));
-            } else {
-              to.push_back(from[i]);
-            }
-          }
-          return to;
-        };
-        PooledValues snapshot{PoolAllocator<Value>(&pool_)};
-        if (budget > 0) snapshot = restore_from(args);
-
         Value result;
-        bool ok = false;
-        for (uint32_t attempt = 0;; ++attempt) {
-          FaultDecision fd;
-          if (plan != nullptr) {
-            fd = plan->decide(def.info.name, def.info.pure, act.seq, node, arrival, attempt);
-            if (fd.action != FaultAction::kNone) {
-              counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          bool injected = false;
-          machine().busy_begin(worker, def);
-          machine().trace_from_core(worker, start + cost, TraceEventKind::kOpBegin,
-                                    n.op_index, attempt);
-          try {
-            if (fd.action == FaultAction::kThrow) {
-              injected = true;
-              throw RuntimeError("injected fault (attempt " + std::to_string(attempt) +
-                                 ")");
-            }
-            if (fd.action == FaultAction::kStall) machine().charge_stall(fd.stall_ns, cost);
-            const Ticks t0 = machine().op_clock_begin();
-            OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, classes);
-            result = def.fn(ctx);
-            machine().busy_end(worker);
-            // Cost and CoW stats come from the successful attempt only;
-            // failed attempts contribute their backoff.
-            machine().op_note_success(t0, def, n.op_index, arrival, cost);
-            counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
-            counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
-            if (fd.action == FaultAction::kCorrupt) {
-              // Deterministically wrong-shaped result: consumers that
-              // decompose it fault with exact provenance.
-              result = Value::tuple({});
-            }
-            machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd,
-                                      n.op_index, attempt);
-            ok = true;
-          } catch (...) {
-            machine().busy_end(worker);
-            machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd,
-                                      n.op_index, attempt);
-            if (attempt < static_cast<uint32_t>(budget)) {
-              counters_.retries.fetch_add(1, std::memory_order_relaxed);
-              machine().trace_from_core(worker, start + cost, TraceEventKind::kRetry,
-                                        n.op_index, attempt + 1);
-              const int shift = attempt < 20 ? static_cast<int>(attempt) : 20;
-              machine().charge_backoff(retry_backoff_ns_ << shift, cost);
-              args = restore_from(snapshot);
-              continue;
-            }
-            if (budget > 0) {
-              counters_.retries_exhausted.fetch_add(1, std::memory_order_relaxed);
-            }
-            machine().record_fault_from_core(
-                act.run, make_fault(act, node, std::current_exception(), injected),
-                n.op_index, start + cost, worker);
-          }
-          break;
+        if (invoke_operator(act, node, nullptr, args, snapshot, worker, start, cost,
+                            result)) {
+          deliver(act_ptr, node, std::move(result), start + cost);
         }
-        // A recorded fault delivers nothing: the node's consumers starve,
-        // the run drains, and the smallest-seq fault is rethrown at drain.
-        if (!ok) break;
-        if (exec_config().affinity == AffinityMode::kOperator && n.op_index >= 0) {
-          machine().note_affinity(n.op_index, worker);
-        }
-        if (result.kind() == Value::Kind::kBlock) {
-          result.block_ptr()->set_home(worker, topology().domain_of(worker));
-        }
-        deliver(act_ptr, node, std::move(result), start + cost);
         break;
       }
 
@@ -926,113 +978,30 @@ class ExecutorCore {
         // A fused chain (src/analysis/graph_opt.cpp): members run in
         // order inside this one scheduling step, so the node base cost,
         // queue traffic, and delivery are paid once per chain. Each
-        // member keeps its own fault provenance (pre-fusion node id and
-        // source range), injection identity, retry budget, trace events,
-        // and timing attribution — observably a sequence of operator
-        // runs minus the per-node scheduling tax.
-        using PooledValues = std::vector<Value, PoolAllocator<Value>>;
-        const FaultPlan* plan = plan_.get();
+        // member is one invoke_operator call, with its own fault
+        // provenance, injection identity, retry budget and trace events
+        // — observably a sequence of operator runs minus the per-node
+        // scheduling tax. A faulting member ends the chain undelivered.
         Value chain;
         bool chain_ok = true;
-        // One argument buffer for the whole chain: members run strictly
+        // One pair of buffers for the whole chain: members run strictly
         // in sequence, so reusing it trims the per-member allocation the
         // fusion exists to avoid.
         PooledValues args{PoolAllocator<Value>(&pool_)};
         PooledValues snapshot{PoolAllocator<Value>(&pool_)};
         for (const FusedMember& member : n.fused) {
-          const OperatorDef& def = registry_.at(static_cast<size_t>(member.op_index));
           args.clear();
           args.reserve(member.inputs.size());
           for (uint32_t slot : member.inputs) {
-            if (slot == FusedMember::kChainInput) {
-              args.push_back(std::move(chain));
-            } else {
-              args.push_back(std::move(act.slots[n.input_offset + slot]));
-            }
+            args.push_back(slot == FusedMember::kChainInput
+                               ? std::move(chain)
+                               : std::move(act.slots[n.input_offset + slot]));
           }
-          pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
-          counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
-          const uint64_t arrival = machine().op_arrival(def, member.op_index, plan != nullptr);
-          // Members are pure by construction — the fusion pass only
-          // chains pure operators — so every member is retry-eligible
-          // and the pre-image snapshot is a shallow copy (no destructive
-          // arguments to re-clone).
-          const int budget = max_retries_;
-          if (budget > 0) snapshot = args;
-          Value result;
-          bool ok = false;
-          for (uint32_t attempt = 0;; ++attempt) {
-            FaultDecision fd;
-            if (plan != nullptr) {
-              // Injection hashes the member's pre-fusion node id, so
-              // structural specs (every=) land the same faults with
-              // fusion on or off.
-              fd = plan->decide(def.info.name, def.info.pure, act.seq, member.orig_node,
-                               arrival, attempt);
-              if (fd.action != FaultAction::kNone) {
-                counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-            bool injected = false;
-            machine().busy_begin(worker, def);
-            machine().trace_from_core(worker, start + cost, TraceEventKind::kOpBegin,
-                                      member.op_index, attempt);
-            try {
-              if (fd.action == FaultAction::kThrow) {
-                injected = true;
-                throw RuntimeError("injected fault (attempt " + std::to_string(attempt) +
-                                   ")");
-              }
-              if (fd.action == FaultAction::kStall) machine().charge_stall(fd.stall_ns, cost);
-              const Ticks t0 = machine().op_clock_begin();
-              OpContext ctx(def, std::span<Value>(args.data(), args.size()), worker, {});
-              result = def.fn(ctx);
-              machine().busy_end(worker);
-              machine().op_note_success(t0, def, member.op_index, arrival, cost);
-              counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
-              counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
-              if (fd.action == FaultAction::kCorrupt) result = Value::tuple({});
-              machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd,
-                                        member.op_index, attempt);
-              ok = true;
-            } catch (...) {
-              machine().busy_end(worker);
-              machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd,
-                                        member.op_index, attempt);
-              if (attempt < static_cast<uint32_t>(budget)) {
-                counters_.retries.fetch_add(1, std::memory_order_relaxed);
-                machine().trace_from_core(worker, start + cost, TraceEventKind::kRetry,
-                                          member.op_index, attempt + 1);
-                const int shift = attempt < 20 ? static_cast<int>(attempt) : 20;
-                machine().charge_backoff(retry_backoff_ns_ << shift, cost);
-                args = snapshot;
-                continue;
-              }
-              if (budget > 0) {
-                counters_.retries_exhausted.fetch_add(1, std::memory_order_relaxed);
-              }
-              machine().record_fault_from_core(
-                  act.run, make_member_fault(act, member, std::current_exception(), injected),
-                  member.op_index, start + cost, worker);
-            }
-            break;
-          }
-          if (!ok) {
-            // Same contract as a faulted kOperator: nothing is delivered,
-            // downstream starves, and the run drains to the fault.
-            chain_ok = false;
-            break;
-          }
-          if (exec_config().affinity == AffinityMode::kOperator) {
-            machine().note_affinity(member.op_index, worker);
-          }
-          if (result.kind() == Value::Kind::kBlock) {
-            result.block_ptr()->set_home(worker, topology().domain_of(worker));
-          }
-          chain = std::move(result);
+          chain_ok =
+              invoke_operator(act, node, &member, args, snapshot, worker, start, cost, chain);
+          if (!chain_ok) break;
         }
-        if (!chain_ok) break;
-        deliver(act_ptr, node, std::move(chain), start + cost);
+        if (chain_ok) deliver(act_ptr, node, std::move(chain), start + cost);
         break;
       }
 
@@ -1172,6 +1141,48 @@ class ExecutorCore {
 
   // -- Diagnostics -----------------------------------------------------------
 
+  /// Live-activation ledger: every activation is linked into one of
+  /// kLedgerShards address-sharded intrusive lists from its constructor
+  /// to its destructor. It feeds the deadlock diagnostic, the watchdog
+  /// and the budget dumps. Linking costs a shard lock and no
+  /// allocation; an activation's destructor cannot unlink (and so
+  /// cannot free what a dump reads) while a dump holds its shard.
+  static constexpr size_t kLedgerShards = 16;
+  struct LedgerShard {
+    std::mutex mu;
+    Activation* head = nullptr;
+  };
+
+  LedgerShard& ledger_shard(const Activation* a) {
+    // Activations sit in 256-byte pool objects, so consecutive ones land
+    // in consecutive shards.
+    return ledger_[(reinterpret_cast<uintptr_t>(a) >> 8) % kLedgerShards];
+  }
+
+  void ledger_link(Activation* a) {
+    LedgerShard& s = ledger_shard(a);
+    std::lock_guard<std::mutex> lock(s.mu);
+    a->ledger_next = s.head;
+    if (s.head != nullptr) s.head->ledger_prev = a;
+    s.head = a;
+  }
+
+  void ledger_unlink(Activation* a) {
+    LedgerShard& s = ledger_shard(a);
+    std::lock_guard<std::mutex> lock(s.mu);
+    (a->ledger_prev != nullptr ? a->ledger_prev->ledger_next : s.head) = a->ledger_next;
+    if (a->ledger_next != nullptr) a->ledger_next->ledger_prev = a->ledger_prev;
+  }
+
+  /// Call `fn` on every live activation, one shard lock at a time.
+  template <class Fn>
+  void for_each_live(Fn fn) {
+    for (LedgerShard& s : ledger_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      for (const Activation* a = s.head; a != nullptr; a = a->ledger_next) fn(*a);
+    }
+  }
+
   /// Summarize one live activation for the stranded dump (deadlock and
   /// watchdog diagnostics), if it has unfired nodes.
   static void append_stranded(const Activation& a, std::vector<StrandedActivation>& out) {
@@ -1198,13 +1209,19 @@ class ExecutorCore {
 
   const OperatorRegistry& registry_;
   const ExecConfig* exec_config_ = nullptr;
+  int num_workers_ = 1;
   /// Whether the topology charges anything — the one branch the UMA hot
   /// path pays for the whole NUMA model.
   bool numa_active_ = false;
-  /// Declared before everything that allocates from it: a base-class
-  /// subobject outlives all members of the derived Machine, so every
-  /// pooled activation is freed before the pool goes away.
+  /// Per-domain cursors of pick_worker_in_domain; empty under a single-
+  /// domain topology, where it is never called.
+  std::vector<std::atomic<uint32_t>> domain_rr_;
+  /// The pool and the ledger are declared before everything that
+  /// allocates from or links into them: a base-class subobject outlives
+  /// all members of the derived Machine, so every pooled activation is
+  /// freed (and unlinked) before either goes away.
   ActivationPool pool_;
+  std::array<LedgerShard, kLedgerShards> ledger_;
   StatCounters counters_;
 
   // Per-run state. The program is carried per activation (Activation::prog),

@@ -29,11 +29,7 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
   if (n <= 0) n = 1;
   config_.num_workers = n;
   apply_exec_env_overrides(config_);
-  init_exec(&config_);
-  if (topology().num_domains > 1) {
-    domain_rr_ =
-        std::vector<std::atomic<uint32_t>>(static_cast<size_t>(topology().num_domains));
-  }
+  init_exec(&config_, n);
   trace_enabled_ = config_.enable_tracing;
   if (trace_enabled_) {
     // One ring per worker plus one for the run's caller thread (root
@@ -104,18 +100,6 @@ void Runtime::ws_flush_pending_trace(int worker) {
 // Fault handling (docs/ROBUSTNESS.md)
 // ---------------------------------------------------------------------------
 
-void Runtime::ledger_add(Activation* act) {
-  LedgerShard& s = ledger_[(reinterpret_cast<uintptr_t>(act) >> 6) % kLedgerShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.acts.insert(act);
-}
-
-void Runtime::ledger_remove(Activation* act) {
-  LedgerShard& s = ledger_[(reinterpret_cast<uintptr_t>(act) >> 6) % kLedgerShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.acts.erase(act);
-}
-
 void Runtime::record_fault(RunState* rs, FaultInfo f, int32_t op_index) {
   counters_.faults_raised.fetch_add(1, std::memory_order_relaxed);
   if (trace_enabled_) {
@@ -144,13 +128,9 @@ void Runtime::cancel_run(RunState* rs) {
 
 std::vector<StrandedActivation> Runtime::collect_stranded(const RunState* rs) {
   std::vector<StrandedActivation> out;
-  for (LedgerShard& shard : ledger_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (Activation* a : shard.acts) {
-      if (a->run != rs) continue;
-      append_stranded(*a, out);
-    }
-  }
+  for_each_live([&](const Activation& a) {
+    if (a.run == rs) append_stranded(a, out);
+  });
   // Attribute the dump to the owning instance in manager mode; a plain
   // single run (instance_id 0) renders exactly as before.
   if (rs->instance_id != 0) {
@@ -201,9 +181,7 @@ void Runtime::enqueue_ready(const std::shared_ptr<Activation>& act, uint32_t nod
                             Ticks /*when*/) {
   const Node& n = act->tmpl->nodes[node];
   const int priority = queue_level(n);
-  int target = affinity_preference(*act, n);
-  if (target >= config_.num_workers) target = -1;
-
+  const int target = affinity_preference(*act, n);
   static_cast<RunState*>(act->run)->outstanding.fetch_add(1, std::memory_order_acq_rel);
   ws_enqueue(WorkItem{act, node}, priority, target);
 }
@@ -259,22 +237,6 @@ void Runtime::charge_remote(int /*domain_from*/, int /*domain_to*/, int64_t /*by
   }
 }
 
-int Runtime::pick_worker_in_domain(int domain, int home_worker) {
-  // Under the w % num_domains striping rule, the workers of domain d are
-  // {d, d+D, d+2D, ...} below num_workers. Rotate among them so
-  // data-affinity placement spreads across the home domain instead of
-  // hammering the single home worker.
-  const int domains = topology().num_domains;
-  if (domain < 0 || domains <= 1 || domain >= domains ||
-      static_cast<size_t>(domain) >= domain_rr_.size()) {
-    return home_worker;
-  }
-  const int members = (config_.num_workers - domain + domains - 1) / domains;
-  if (members <= 1) return home_worker;
-  const uint32_t k = domain_rr_[domain].fetch_add(1, std::memory_order_relaxed);
-  return domain + static_cast<int>(k % static_cast<uint32_t>(members)) * domains;
-}
-
 void Runtime::charge_stall(Ticks ns, Ticks& /*cost*/) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
@@ -324,7 +286,6 @@ void Runtime::note_affinity(int op_index, int worker) {
 }
 
 void Runtime::on_activation_created(Activation* act) {
-  ledger_add(act);
   // Per-instance activation budget (instance.h). The first trip wins the
   // exchange, writes the deterministic diagnostic, and cancels only this
   // instance; siblings keep running. The count is schedule-independent
@@ -345,8 +306,6 @@ void Runtime::on_activation_created(Activation* act) {
     cancel_run(rs);
   }
 }
-
-void Runtime::on_activation_destroyed(Activation* act) { ledger_remove(act); }
 
 // ---------------------------------------------------------------------------
 // Work-stealing scheduler
@@ -566,7 +525,7 @@ void Runtime::execute(const WorkItem& item, int worker) {
     try {
       execute_node(item.act, item.node, worker, 0);
     } catch (...) {
-      // Operator faults are captured inside the core's kOperator case
+      // Operator faults are captured inside the core's invoke_operator
       // (they carry injection/retry context); anything reaching here is a
       // coordination-level failure at this node.
       record_fault(rs, make_fault(*item.act, item.node, std::current_exception()),

@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "src/runtime/executor_core.h"
@@ -82,7 +81,7 @@ class Runtime : public ExecutorCore<Runtime> {
 
  private:
   // The core drives the machine hooks below and its nested Activation
-  // touches the ledger callbacks, so it (and its nested classes) need
+  // touches the budget callback, so it (and its nested classes) need
   // access to this private section. The InstanceManager (instance.h)
   // multiplexes many RunStates over this machine's worker pool.
   friend class ExecutorCore<Runtime>;
@@ -155,16 +154,6 @@ class Runtime : public ExecutorCore<Runtime> {
     Ticks busy_since = 0;
   };
 
-  /// Live-activation ledger, sharded to keep registration off the hot
-  /// path's single lock. Feeds the deadlock diagnostic and the watchdog
-  /// dump; an activation's destructor cannot finish while a dump holds
-  /// its shard, so the dump may read pending counters safely.
-  struct LedgerShard {
-    std::mutex mu;
-    std::unordered_set<Activation*> acts;
-  };
-  static constexpr size_t kLedgerShards = 16;
-
   /// Per-worker state of the work-stealing scheduler: one bounded
   /// Chase–Lev deque and one unbounded MPSC injection queue per priority
   /// level, plus the worker's parking slot. Only the owner pushes/pops
@@ -196,7 +185,6 @@ class Runtime : public ExecutorCore<Runtime> {
                               int worker);
   void charge_remote(int domain_from, int domain_to, int64_t bytes, Ticks penalty_ns,
                      Ticks& cost);
-  int pick_worker_in_domain(int domain, int home_worker);
   void charge_stall(Ticks ns, Ticks& cost);
   void charge_backoff(Ticks ns, Ticks& cost);
   void busy_begin(int worker, const OperatorDef& def);
@@ -210,7 +198,6 @@ class Runtime : public ExecutorCore<Runtime> {
   int last_affinity_worker(int op_index);
   void note_affinity(int op_index, int worker);
   void on_activation_created(Activation* act);
-  void on_activation_destroyed(Activation* act);
 
   void worker_loop(int worker);
   void ws_enqueue(WorkItem item, int priority, int target);
@@ -237,8 +224,6 @@ class Runtime : public ExecutorCore<Runtime> {
   void record_fault(RunState* rs, FaultInfo f, int32_t op_index = -1);
   void cancel_run(RunState* rs);
   void fire_watchdog(RunState* rs);
-  void ledger_add(Activation* act);
-  void ledger_remove(Activation* act);
   std::vector<StrandedActivation> collect_stranded(const RunState* rs);
   std::string dump_busy_workers();
 
@@ -250,17 +235,10 @@ class Runtime : public ExecutorCore<Runtime> {
   std::atomic<int> num_parked_{0};
   std::atomic<uint32_t> inject_rr_{0};  // round-robin for external enqueues
 
-  // Locality (src/support/topology.h): per-domain round-robin cursors
-  // for in-domain data-affinity placement. Sized from the effective
-  // topology at construction; empty under single-/per-worker-domain
-  // topologies, where pick_worker_in_domain is never called.
-  std::vector<std::atomic<uint32_t>> domain_rr_;
-
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkerData>> worker_data_;
   std::vector<std::atomic<int>> op_last_worker_;  // operator-affinity memory
   std::vector<std::atomic<uint64_t>> op_arrivals_;  // per-operator arrival counters
-  std::array<LedgerShard, kLedgerShards> ledger_;
 
   std::mutex run_mu_;  // serializes run() calls (and whole manager sessions)
   /// Whether busy_begin/busy_end maintain the per-worker busy-op dump.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "src/support/clock.h"
@@ -19,9 +18,8 @@ namespace {
 ///   * Items whose ready time lies past the watermark (the latest pick
 ///     time) wait in a min-heap keyed by ready time.
 ///   * Released items sit, per queue level, in seq-ordered buckets: one
-///     per processor for items bound to it, one for unbound items, and
-///     one per domain (a single one under the three-class ladder) for
-///     preferences outside 0..P-1, which rank as "bound elsewhere".
+///     per processor for items bound to it and one for unbound items (the
+///     core's affinity_preference names only processors 0..P-1).
 ///   * A pick takes the first level holding a released item and compares
 ///     only the heads of its buckets, by (affinity class, seq).
 ///
@@ -53,8 +51,7 @@ class ReadyQueue {
   void configure(int num_procs, const MemoryTopology& topology, bool domain_aware) {
     procs_ = num_procs;
     domain_aware_ = domain_aware;
-    domains_ = domain_aware ? topology.num_domains : 1;
-    per_level_ = static_cast<uint32_t>(procs_ + 1 + domains_);
+    per_level_ = static_cast<uint32_t>(procs_ + 1);
     proc_domain_.resize(static_cast<size_t>(procs_));
     for (int p = 0; p < procs_; ++p) {
       proc_domain_[static_cast<size_t>(p)] = domain_aware ? topology.domain_of(p) : 0;
@@ -64,7 +61,7 @@ class ReadyQueue {
   bool empty() const { return live_ == 0; }
 
   /// Queue a node at queue `level`, bound to processor `preferred` (or
-  /// unbound when negative).
+  /// unbound when negative; never P or above).
   void push(std::shared_ptr<Activation> act, uint32_t node, Ticks ready, int level,
             int preferred) {
     uint32_t slot;
@@ -80,7 +77,8 @@ class ReadyQueue {
     item.node = node;
     item.ready = ready;
     item.seq = next_seq_++;
-    const uint32_t bucket = bucket_of(level, preferred);
+    const uint32_t bucket = static_cast<uint32_t>(level) * per_level_ +
+                            static_cast<uint32_t>(preferred < 0 ? procs_ : preferred);
     ++live_;
     if (ready <= watermark_) {
       release(bucket, slot);
@@ -194,21 +192,6 @@ class ReadyQueue {
     return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
   }
 
-  uint32_t bucket_of(int level, int preferred) const {
-    uint32_t offset;
-    if (preferred < 0) {
-      offset = static_cast<uint32_t>(procs_);
-    } else if (preferred < procs_) {
-      offset = static_cast<uint32_t>(preferred);
-    } else {
-      // Preferences naming no simulated processor (a block homed by a
-      // larger machine): their domain decides the class.
-      const int domain = domain_aware_ ? preferred % domains_ : 0;
-      offset = static_cast<uint32_t>(procs_ + 1 + domain);
-    }
-    return static_cast<uint32_t>(level) * per_level_ + offset;
-  }
-
   void release(uint32_t bucket, uint32_t slot) {
     if (buckets_.size() <= bucket) {
       const size_t levels = bucket / per_level_ + 1;
@@ -229,20 +212,18 @@ class ReadyQueue {
     if (off == p) return 0;
     if (off == procs_) return domain_aware_ ? 2 : 1;  // unbound
     if (!domain_aware_) return 2;
-    const int domain = off < procs_ ? proc_domain_[offset] : off - procs_ - 1;
-    return domain == proc_domain_[static_cast<size_t>(p)] ? 1 : 3;
+    return proc_domain_[offset] == proc_domain_[static_cast<size_t>(p)] ? 1 : 3;
   }
 
   int procs_ = 1;
-  int domains_ = 1;
   bool domain_aware_ = false;
-  uint32_t per_level_ = 3;
+  uint32_t per_level_ = 2;
   std::vector<int> proc_domain_;
 
   std::vector<Item> slots_;  // slab; queue structures hold slot indices
   std::vector<uint32_t> free_;
   std::vector<Waiting> waiting_;         // min-heap by (ready, seq)
-  std::vector<std::vector<Head>> buckets_;  // [level * per_level_ + offset], min-heap by seq
+  std::vector<std::vector<Head>> buckets_;  // [level * (P + 1) + proc or P], min-heap by seq
   std::vector<size_t> level_released_;   // released items per level
   size_t released_ = 0;
   size_t live_ = 0;
@@ -289,12 +270,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   SimConfig config;
 
-  // Declared before `ready`: activation destructors unregister from
-  // live_acts, so it must outlive any queued activation if a run aborts
-  // with items still enqueued. (The pool and counters live in the base
-  // subobject, which outlives every member.)
-  std::unordered_set<Activation*> live_acts;
-
   using Queue = ReadyQueue<Activation>;
   Queue ready;  // indexed by level, affinity class and ready time
   std::vector<Ticks> proc_avail;
@@ -317,7 +292,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   bool tracing = false;
 
   std::vector<int> op_last_proc;  // operator-affinity memory
-  std::vector<uint32_t> domain_rr;  // per-domain RR cursor (deterministic)
 
   /// Per-operator cost state, indexed by registry index and resolved from
   /// the config's name-keyed tables on an operator's first invocation in
@@ -333,12 +307,9 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   Impl(const OperatorRegistry& r, const SimConfig& c)
       : ExecutorCore<SimRuntime::Impl>(r), config(c) {
-    init_exec(&config);
+    init_exec(&config, config.num_procs);
     proc_avail.assign(config.num_procs, 0);
     proc_busy.assign(config.num_procs, 0);
-    if (topology().num_domains > 1) {
-      domain_rr.assign(static_cast<size_t>(topology().num_domains), 0);
-    }
     // Under a multi-domain topology with locality_scheduling the class
     // ladder grows a rung: bound-here, bound-same-domain, unbound,
     // bound-elsewhere — the virtual twin of Runtime's domain-aware steal
@@ -395,18 +366,18 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   /// instance's. Batch-mode entries are attributed to their instance.
   std::vector<StrandedActivation> collect_stranded(const SimInstance* filter = nullptr) {
     std::vector<StrandedActivation> out;
-    for (Activation* a : live_acts) {
-      const SimInstance* si = static_cast<const SimInstance*>(a->run);
-      if (filter != nullptr && si != filter) continue;
+    for_each_live([&](const Activation& a) {
+      const SimInstance* si = static_cast<const SimInstance*>(a.run);
+      if (filter != nullptr && si != filter) return;
       const size_t before = out.size();
-      append_stranded(*a, out);
+      append_stranded(a, out);
       if (si->id != 0) {
         for (size_t i = before; i < out.size(); ++i) {
           out[i].instance = si->id;
           out[i].program = si->program_name;
         }
       }
-    }
+    });
     return out;
   }
 
@@ -459,18 +430,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   void charge_stall(Ticks ns, Ticks& cost) { cost += std::max<Ticks>(ns, 0); }
   void charge_backoff(Ticks ns, Ticks& cost) { cost += std::max<Ticks>(ns, 0); }
 
-  int pick_worker_in_domain(int domain, int home_worker) {
-    // Same striping rule as Runtime::pick_worker_in_domain, but with a
-    // plain cursor: the simulator is single-threaded, so placement stays
-    // deterministic across runs.
-    const int domains = topology().num_domains;
-    if (domain < 0 || domains <= 1 || domain >= domains) return home_worker;
-    const int members = (config.num_procs - domain + domains - 1) / domains;
-    if (members <= 1) return home_worker;
-    const uint32_t k = domain_rr[static_cast<size_t>(domain)]++;
-    return domain + static_cast<int>(k % static_cast<uint32_t>(members)) * domains;
-  }
-
   // No wall-clock watchdog here (the virtual one lives in the run loop).
   void busy_begin(int /*proc*/, const OperatorDef& /*def*/) {}
   void busy_end(int /*proc*/) {}
@@ -522,7 +481,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   }
 
   void on_activation_created(Activation* act) {
-    live_acts.insert(act);
     // Per-instance activation budget, counted only when something could
     // consume it (a budget is set, or a batch instance reports the
     // count). The trip message matches the threaded runtime's byte for
@@ -540,7 +498,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
       purge_pending = true;
     }
   }
-  void on_activation_destroyed(Activation* act) { live_acts.erase(act); }
 
   // -- Discrete-event scheduler ----------------------------------------------
 
@@ -633,7 +590,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
         cost = execute_node(item.act, item.node, proc, start);
       } catch (...) {
         // Coordination-level failure (operator faults are captured with
-        // richer context inside the core's kOperator case).
+        // richer context inside the core's invoke_operator).
         const Node& n = item.act->tmpl->nodes[item.node];
         record_fault(si, make_fault(*item.act, item.node, std::current_exception()),
                      start, proc, n.kind == NodeKind::kOperator ? n.op_index : -1);

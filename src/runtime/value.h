@@ -127,6 +127,23 @@ class TypedBlock final : public BlockBase {
 
 class Value;
 
+/// Whether `p` is the sole holder of its object, so the caller may move
+/// from or write into it. The count is a relaxed load; the acquire that
+/// follows a count of 1 orders this holder's access after every access
+/// the previous holders made before they released their references.
+/// ThreadSanitizer does not model fences, so under it the acquire comes
+/// from weak_ptr::lock(), whose acq_rel CAS on the count it does model.
+template <class T>
+bool sole_holder(const std::shared_ptr<T>& p) {
+  if (p.use_count() != 1) return false;
+#if defined(__SANITIZE_THREAD__)
+  (void)std::weak_ptr<T>(p).lock();
+#else
+  std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+  return true;
+}
+
 /// A multiple-value package (language construct 2).
 struct MultiValue {
   std::vector<Value> elems;
@@ -196,7 +213,7 @@ class Value {
   /// read-only. Not a type error — callers fall back to copying.
   MultiValue* tuple_mut() {
     auto* p = std::get_if<std::shared_ptr<MultiValue>>(&v_);
-    if (p == nullptr || p->use_count() != 1) return nullptr;
+    if (p == nullptr || !sole_holder(*p)) return nullptr;
     return p->get();
   }
   const Closure& as_closure() const {
@@ -212,7 +229,7 @@ class Value {
     if (p == nullptr) {
       throw RuntimeError(std::string("expected a function value, got ") + kind_name());
     }
-    if (p->use_count() == 1) return std::move((*p)->captures);
+    if (sole_holder(*p)) return std::move((*p)->captures);
     return (*p)->captures;
   }
   const std::shared_ptr<BlockBase>& block_ptr() const {
@@ -239,7 +256,7 @@ class Value {
     if (slot == nullptr) {
       throw RuntimeError(std::string("expected a data block, got ") + kind_name());
     }
-    if (slot->use_count() > 1) {
+    if (!sole_holder(*slot)) {
       *slot = (*slot)->clone();
       if (copied != nullptr) *copied = true;
     } else if (copied != nullptr) {

@@ -128,7 +128,8 @@ TEST(DccStructure, PartitionUsesCachedWeights) {
   AstContext ctx;
   std::vector<FuncDecl*> funcs;
   for (int i = 0; i < 8; ++i) {
-    FuncDecl* f = ctx.make_func("f" + std::to_string(i), {}, ctx.make_int(i));
+    FuncDecl* f =
+        ctx.make_func(std::string("f").append(std::to_string(i)), {}, ctx.make_int(i));
     f->weight = static_cast<uint32_t>(100 * (i + 1));  // pretend-heavy
     funcs.push_back(f);
   }

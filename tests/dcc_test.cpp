@@ -76,7 +76,7 @@ TEST(PartitionByWeight, BalancesAndCoversAllFunctions) {
     Expr* body = ctx.make_int(1);
     // Vary weight: function i has a chain of i applications.
     for (int k = 0; k < i; ++k) body = ctx.make_apply_named("incr", {body});
-    funcs.push_back(ctx.make_func("f" + std::to_string(i), {}, body));
+    funcs.push_back(ctx.make_func(std::string("f").append(std::to_string(i)), {}, body));
   }
   auto groups = partition_by_weight(funcs, 4);
   ASSERT_EQ(groups.size(), 4u);

@@ -43,8 +43,10 @@ TEST_P(QueensDelirium, MatchesSequentialCount) {
 }
 
 std::string queens_param_name(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  return "N" + std::to_string(std::get<0>(info.param)) + "Workers" +
-         std::to_string(std::get<1>(info.param));
+  return std::string("N")
+      .append(std::to_string(std::get<0>(info.param)))
+      .append("Workers")
+      .append(std::to_string(std::get<1>(info.param)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, QueensDelirium,

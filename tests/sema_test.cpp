@@ -175,7 +175,8 @@ TEST(Sema, TarjanHandlesLongChains) {
   // A deep acyclic chain must not be marked recursive.
   std::string source;
   for (int i = 0; i < 200; ++i) {
-    source += "f" + std::to_string(i) + "() f" + std::to_string(i + 1) + "()\n";
+    source.append("f").append(std::to_string(i)).append("() f");
+    source.append(std::to_string(i + 1)).append("()\n");
   }
   source += "f200() 1\nmain() f0()\n";
   auto a = analyze(source);
@@ -186,7 +187,8 @@ TEST(Sema, TarjanHandlesLongChains) {
 TEST(Sema, TarjanHandlesLargeCycle) {
   std::string source;
   for (int i = 0; i < 50; ++i) {
-    source += "f" + std::to_string(i) + "() f" + std::to_string((i + 1) % 50) + "()\n";
+    source.append("f").append(std::to_string(i)).append("() f");
+    source.append(std::to_string((i + 1) % 50)).append("()\n");
   }
   source += "main() f0()\n";
   auto a = analyze(source);

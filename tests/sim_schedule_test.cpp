@@ -373,8 +373,9 @@ std::string render_all() {
        .affinity = A::kOperator,
        .topology = numa4},
       // Preferences outside 0..P-1: a block homed on worker 6 of a
-      // 3-processor machine (domain 2 under numa4). One queue level, so
-      // the affinity class alone orders readers against multiplies.
+      // 3-processor machine (domain 2 under numa4), which both machines
+      // place as unbound. One queue level, so the affinity class alone
+      // orders readers against multiplies.
       {.name = "outside_p3_dataff_noprio",
        .program = &outside,
        .function = "use",
