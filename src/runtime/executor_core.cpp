@@ -95,27 +95,58 @@ ActivationPool::TlsCache& ActivationPool::bound_cache() {
   thread_local TlsCache cache;
   if (cache.owner != this || cache.owner_id != id_) {
     flush_all(cache);
+    cache.tally = claim_tally();
     cache.owner = this;
     cache.owner_id = id_;
   }
   return cache;
 }
 
+ActivationPool::Tally* ActivationPool::claim_tally() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::unique_ptr<Tally>& t : tallies_) {
+    if (!t->bound) {
+      t->bound = true;
+      return t.get();
+    }
+  }
+  tallies_.push_back(std::make_unique<Tally>());
+  tallies_.back()->bound = true;
+  return tallies_.back().get();
+}
+
+void ActivationPool::reset_counters() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::unique_ptr<Tally>& t : tallies_) {
+    t->pooled.store(0, std::memory_order_relaxed);
+    t->allocated.store(0, std::memory_order_relaxed);
+  }
+}
+
+uint64_t ActivationPool::sum(std::atomic<uint64_t> Tally::*count) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t n = 0;
+  for (const std::unique_ptr<Tally>& t : tallies_) {
+    n += ((*t).*count).load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
 void* ActivationPool::allocate(size_t bytes) {
+  TlsCache& cache = bound_cache();
   const int cls = size_class(bytes);
   if (cls < 0) {
-    allocated_.fetch_add(1, std::memory_order_relaxed);
+    cache.tally->allocated.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(bytes);
   }
   const size_t cls_bytes = kMinClassBytes << static_cast<size_t>(cls);
-  TlsCache& cache = bound_cache();
   if (FreeNode* node = cache.free[cls]; node != nullptr) {
     cache.free[cls] = node->next;
     --cache.count[cls];
 #ifndef NDEBUG
     check_poison(node, cls_bytes);
 #endif
-    pooled_.fetch_add(1, std::memory_order_relaxed);
+    cache.tally->pooled.fetch_add(1, std::memory_order_relaxed);
     return node;
   }
   return refill_and_allocate(cache, cls, cls_bytes);
@@ -139,7 +170,7 @@ void* ActivationPool::refill_and_allocate(TlsCache& cache, int cls, size_t cls_b
 #ifndef NDEBUG
     check_poison(node, cls_bytes);
 #endif
-    pooled_.fetch_add(1, std::memory_order_relaxed);
+    cache.tally->pooled.fetch_add(1, std::memory_order_relaxed);
     return node;
   }
   // Nothing to recycle anywhere: carve exactly one fresh object, so the
@@ -150,7 +181,7 @@ void* ActivationPool::refill_and_allocate(TlsCache& cache, int cls, size_t cls_b
   }
   void* p = chunks_.back().get() + chunk_used_;
   chunk_used_ += cls_bytes;
-  allocated_.fetch_add(1, std::memory_order_relaxed);
+  cache.tally->allocated.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
 
@@ -195,8 +226,10 @@ void ActivationPool::flush_half(TlsCache& cache, int cls) noexcept {
 void ActivationPool::flush_all(TlsCache& cache) noexcept {
   ActivationPool* owner = cache.owner;
   const uint64_t owner_id = cache.owner_id;
+  Tally* tally = cache.tally;
   cache.owner = nullptr;
   cache.owner_id = 0;
+  cache.tally = nullptr;
   if (owner == nullptr) return;
   std::lock_guard<std::mutex> registry_lock(pool_registry_mu());
   const auto& pools = pool_registry();
@@ -208,6 +241,7 @@ void ActivationPool::flush_all(TlsCache& cache) noexcept {
     return;
   }
   std::lock_guard<std::mutex> lock(owner->mu_);
+  tally->bound = false;
   for (size_t cls = 0; cls < kNumClasses; ++cls) {
     while (cache.free[cls] != nullptr) {
       FreeNode* node = cache.free[cls];
@@ -220,10 +254,10 @@ void ActivationPool::flush_all(TlsCache& cache) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// StatCounters
+// StatShard
 // ---------------------------------------------------------------------------
 
-void StatCounters::reset() {
+void StatShard::reset() {
   activations_created.store(0);
   // live_activations is a gauge (activations alive right now), not a
   // per-run counter — it survives the reset.
@@ -258,37 +292,37 @@ void StatCounters::reset() {
   instances_shed.store(0);
 }
 
-void StatCounters::snapshot(RunStats& out) const {
-  out.activations_created = activations_created.load();
-  out.peak_live_activations = peak_live_activations.load();
-  out.nodes_executed = nodes_executed.load();
-  out.operator_invocations = operator_invocations.load();
-  out.cow_copies = cow_copies.load();
-  out.cow_skipped = cow_skipped.load();
-  out.remote_block_moves = remote_block_moves.load();
-  out.remote_bytes_pulled = remote_bytes_pulled.load();
-  out.operator_ticks = operator_ticks.load();
-  out.sched_local_enqueues = sched_local_enqueues.load();
-  out.sched_injected_enqueues = sched_injected_enqueues.load();
-  out.sched_steals = sched_steals.load();
-  out.sched_failed_steals = sched_failed_steals.load();
-  out.sched_local_steals = sched_local_steals.load();
-  out.sched_remote_steals = sched_remote_steals.load();
-  out.sched_parks = sched_parks.load();
-  out.sched_wakeups = sched_wakeups.load();
-  out.sched_hint_promotions = sched_hint_promotions.load();
-  out.sched_cost_promotions = sched_cost_promotions.load();
-  out.faults_raised = faults_raised.load();
-  out.faults_injected = faults_injected.load();
-  out.retries = retries.load();
-  out.retries_exhausted = retries_exhausted.load();
-  out.items_purged = items_purged.load();
-  out.watchdog_fires = watchdog_fires.load();
-  out.instances_admitted = instances_admitted.load();
-  out.instances_completed = instances_completed.load();
-  out.instances_faulted = instances_faulted.load();
-  out.instances_budget_killed = instances_budget_killed.load();
-  out.instances_shed = instances_shed.load();
+void StatShard::add_to(RunStats& out) const {
+  out.activations_created += activations_created.load();
+  out.peak_live_activations += peak_live_activations.load();
+  out.nodes_executed += nodes_executed.load();
+  out.operator_invocations += operator_invocations.load();
+  out.cow_copies += cow_copies.load();
+  out.cow_skipped += cow_skipped.load();
+  out.remote_block_moves += remote_block_moves.load();
+  out.remote_bytes_pulled += remote_bytes_pulled.load();
+  out.operator_ticks += operator_ticks.load();
+  out.sched_local_enqueues += sched_local_enqueues.load();
+  out.sched_injected_enqueues += sched_injected_enqueues.load();
+  out.sched_steals += sched_steals.load();
+  out.sched_failed_steals += sched_failed_steals.load();
+  out.sched_local_steals += sched_local_steals.load();
+  out.sched_remote_steals += sched_remote_steals.load();
+  out.sched_parks += sched_parks.load();
+  out.sched_wakeups += sched_wakeups.load();
+  out.sched_hint_promotions += sched_hint_promotions.load();
+  out.sched_cost_promotions += sched_cost_promotions.load();
+  out.faults_raised += faults_raised.load();
+  out.faults_injected += faults_injected.load();
+  out.retries += retries.load();
+  out.retries_exhausted += retries_exhausted.load();
+  out.items_purged += items_purged.load();
+  out.watchdog_fires += watchdog_fires.load();
+  out.instances_admitted += instances_admitted.load();
+  out.instances_completed += instances_completed.load();
+  out.instances_faulted += instances_faulted.load();
+  out.instances_budget_killed += instances_budget_killed.load();
+  out.instances_shed += instances_shed.load();
 }
 
 // ---------------------------------------------------------------------------

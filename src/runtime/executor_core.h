@@ -43,6 +43,7 @@
 //   int last_affinity_worker(op_index);   // operator-affinity memory
 //   void note_affinity(op_index, worker);
 //   void on_activation_created(act);      // per-instance activation budget
+//   int stat_shard_index();               // the calling thread's counter shard
 //
 // Results and faults are routed by the *activation's* opaque run token
 // (Activation::run), not by any per-machine "current run" notion: the
@@ -166,12 +167,21 @@ inline constexpr int kQueueLevels = 6;
 
 struct RunStats {
   uint64_t activations_created = 0;
+  /// The sum, over the counter shards (StatShard), of each shard's peak
+  /// count of live activations it created, since the run's reset. The
+  /// simulator has one shard, so there it is the exact peak; the
+  /// threaded runtime has one per worker plus one for the run's caller,
+  /// which creates only the root, so at one worker it is exact too.
+  /// Above that it is an upper bound on the true peak, no larger than
+  /// activations_created.
   uint64_t peak_live_activations = 0;
   /// Activation-pool traffic: allocations served by recycling a
   /// previously-retired object (pooled) vs. fresh arena/heap carves
-  /// (allocated). Steady-state loops should be nearly all pooled; the
-  /// split is schedule-dependent in the threaded runtime and exactly
-  /// reproducible in SimRuntime.
+  /// (allocated). Steady-state loops should be nearly all pooled. The
+  /// sum is schedule-independent; the split is not, because it follows
+  /// the freelists' order: it varies in the threaded runtime, and in
+  /// SimRuntime too unless operator costs are fixed or replayed
+  /// (measured wall-time costs move the virtual schedule).
   uint64_t activations_pooled = 0;
   uint64_t activations_allocated = 0;
   uint64_t nodes_executed = 0;
@@ -256,13 +266,11 @@ class ActivationPool {
   void* allocate(size_t bytes);
   void deallocate(void* p, size_t bytes) noexcept;
 
-  /// Per-run counters (RunStats.activations_pooled/_allocated).
-  void reset_counters() {
-    pooled_.store(0, std::memory_order_relaxed);
-    allocated_.store(0, std::memory_order_relaxed);
-  }
-  uint64_t pooled() const { return pooled_.load(std::memory_order_relaxed); }
-  uint64_t allocated() const { return allocated_.load(std::memory_order_relaxed); }
+  /// Per-run counters (RunStats.activations_pooled/_allocated), summed
+  /// over the per-thread tallies.
+  void reset_counters();
+  uint64_t pooled() const { return sum(&Tally::pooled); }
+  uint64_t allocated() const { return sum(&Tally::allocated); }
 
  private:
   struct FreeNode {
@@ -277,6 +285,18 @@ class ActivationPool {
   static constexpr uint32_t kCacheCap = 64;
   static constexpr uint32_t kRefillBatch = 32;
 
+  /// One thread's share of the pool counters, on its own cache line:
+  /// only the thread bound to it writes it, so counting never shares a
+  /// line between workers. A thread claims a free tally when its
+  /// magazine binds to this pool and releases it when the magazine
+  /// rebinds or the thread exits; the counts stay in the tally and are
+  /// summed when read.
+  struct alignas(64) Tally {
+    std::atomic<uint64_t> pooled{0};
+    std::atomic<uint64_t> allocated{0};
+    bool bound = false;  // guarded by mu_
+  };
+
   /// One per thread, shared by every pool: plain singly-linked stacks
   /// the owning thread alone touches. Rebinds (and thread exit) flush
   /// the contents back to `owner` if it is still alive. The generation
@@ -288,6 +308,7 @@ class ActivationPool {
     uint64_t owner_id = 0;
     std::array<FreeNode*, kNumClasses> free{};
     std::array<uint32_t, kNumClasses> count{};
+    Tally* tally = nullptr;  // owner's tally claimed by this thread
     ~TlsCache();
   };
 
@@ -296,22 +317,28 @@ class ActivationPool {
   /// This thread's magazine, rebound to this pool (flushing any nodes
   /// held for a previous owner first).
   TlsCache& bound_cache();
+  /// A tally no bound thread holds, created if none is free.
+  Tally* claim_tally();
+  /// One count summed over every tally.
+  uint64_t sum(std::atomic<uint64_t> Tally::*count) const;
   /// Slow path: batch-refill the magazine from the shared freelist, or
   /// carve one fresh object from the arena.
   void* refill_and_allocate(TlsCache& cache, int cls, size_t cls_bytes);
   /// Return half of an overflowing magazine class to the shared list.
   void flush_half(TlsCache& cache, int cls) noexcept;
   /// Return every cached node to `cache.owner` if that pool is still
-  /// registered as live; otherwise drop the (already freed) pointers.
+  /// registered as live, and release the thread's tally there; otherwise
+  /// drop the (already freed) pointers.
   static void flush_all(TlsCache& cache) noexcept;
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::array<FreeNode*, kNumClasses> free_{};
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   size_t chunk_used_ = kChunkBytes;  // "full": the first allocation opens a chunk
-  const uint64_t id_;                   // process-unique generation (see TlsCache)
-  std::atomic<uint64_t> pooled_{0};     // freelist hits (recycled objects)
-  std::atomic<uint64_t> allocated_{0};  // fresh carves + heap passthroughs
+  const uint64_t id_;                // process-unique generation (see TlsCache)
+  /// Freelist hits (pooled) and fresh carves + heap passthroughs
+  /// (allocated), one tally per bound thread; guarded by mu_.
+  std::vector<std::unique_ptr<Tally>> tallies_;
 };
 
 /// Minimal std-allocator shim over ActivationPool, so standard vectors
@@ -339,16 +366,24 @@ struct PoolAllocator {
 };
 
 // ---------------------------------------------------------------------------
-// Shared counters
+// Counter shards
 // ---------------------------------------------------------------------------
 
-/// Atomic accumulators behind RunStats, owned by ExecutorCore. The
-/// threaded runtime hits them from every worker; SimRuntime is
-/// single-threaded, where relaxed atomics cost nothing.
-struct StatCounters {
+/// The atomic accumulators behind RunStats, one shard per writer so the
+/// per-node path never writes a cache line another worker writes. The
+/// threaded runtime gives every worker its own shard plus one for the
+/// threads outside its pool (the run's caller, instance submitters);
+/// SimRuntime is single-threaded and has one. The Machine's
+/// stat_shard_index() picks the calling thread's shard, and a snapshot
+/// sums them all. Apart from the live gauge and its peak, no sum depends
+/// on which shard counted what.
+struct alignas(64) StatShard {
   std::atomic<uint64_t> activations_created{0};
+  /// Activations this shard created that are still alive: incremented by
+  /// the creating thread, decremented by whichever thread destroys one,
+  /// so it never goes negative.
   std::atomic<int64_t> live_activations{0};
-  std::atomic<uint64_t> peak_live_activations{0};
+  std::atomic<uint64_t> peak_live_activations{0};  // of live_activations
   std::atomic<uint64_t> nodes_executed{0};
   std::atomic<uint64_t> operator_invocations{0};
   std::atomic<uint64_t> cow_copies{0};
@@ -381,8 +416,8 @@ struct StatCounters {
   /// Zero every per-run counter. live_activations is a gauge, not a
   /// per-run counter, and survives the reset.
   void reset();
-  /// Copy the counters into the published per-run snapshot.
-  void snapshot(RunStats& out) const;
+  /// Add this shard's counters to a RunStats sum (peaks add too).
+  void add_to(RunStats& out) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -439,7 +474,8 @@ class ExecutorCore {
       for (size_t i = 0; i < tmpl->nodes.size(); ++i) {
         pending[i].store(tmpl->nodes[i].num_inputs, std::memory_order_relaxed);
       }
-      StatCounters& c = owner->counters_;
+      stat_shard = owner->stat_shard_index();
+      StatShard& c = owner->stat_shards_[stat_shard];
       c.activations_created.fetch_add(1, std::memory_order_relaxed);
       const int64_t live = c.live_activations.fetch_add(1, std::memory_order_relaxed) + 1;
       uint64_t peak = c.peak_live_activations.load(std::memory_order_relaxed);
@@ -453,7 +489,8 @@ class ExecutorCore {
 
     ~Activation() {
       owner->ledger_unlink(this);
-      owner->counters_.live_activations.fetch_sub(1, std::memory_order_relaxed);
+      owner->stat_shards_[stat_shard].live_activations.fetch_sub(1,
+                                                                 std::memory_order_relaxed);
     }
 
     Machine* owner;
@@ -482,6 +519,9 @@ class ExecutorCore {
     /// otherwise a null cont_act means "the final result of the run".
     std::shared_ptr<Activation> cont_act;
     uint32_t cont_node = 0;
+    /// The counter shard of the creating thread, whose live gauge the
+    /// destructor decrements on whatever thread it runs.
+    uint32_t stat_shard = 0;
     std::shared_ptr<Collector> collector;
     uint32_t collector_index = 0;
     /// Links of the live-activation ledger (for_each_live), guarded by
@@ -505,11 +545,13 @@ class ExecutorCore {
   // -- Setup -----------------------------------------------------------------
 
   /// Point the core at the Machine's resolved config (after its
-  /// environment overrides) and its worker count. Call once, from the
-  /// Machine's constructor, before any activation exists.
-  void init_exec(const ExecConfig* config, int num_workers) {
+  /// environment overrides), its worker count and its number of counter
+  /// shards. Call once, from the Machine's constructor, before any
+  /// activation exists.
+  void init_exec(const ExecConfig* config, int num_workers, int num_stat_shards) {
     exec_config_ = config;
     num_workers_ = num_workers;
+    stat_shards_ = std::vector<StatShard>(static_cast<size_t>(num_stat_shards));
     numa_active_ = config->topology.models_cost();
     if (config->topology.num_domains > 1) {
       domain_rr_ = std::vector<std::atomic<uint32_t>>(
@@ -534,7 +576,8 @@ class ExecutorCore {
       // Split the tally by the mark's provenance: static unit-height
       // marks vs marks recomputed from a measured cost profile
       // (apply_sched_hints cost overload, docs/PROFILING.md).
-      (n.cost_hinted ? counters_.sched_cost_promotions : counters_.sched_hint_promotions)
+      StatShard& c = counters();
+      (n.cost_hinted ? c.sched_cost_promotions : c.sched_hint_promotions)
           .fetch_add(1, std::memory_order_relaxed);
       return base;
     }
@@ -552,15 +595,20 @@ class ExecutorCore {
     retry_backoff_ns_ = exec_config().retry_backoff_ns > 0 ? exec_config().retry_backoff_ns : 0;
   }
 
+  /// The calling thread's counter shard (Machine::stat_shard_index).
+  StatShard& counters() { return stat_shards_[machine().stat_shard_index()]; }
+
   /// Zero the per-run counters (including the pool's).
   void reset_core_run_state() {
-    counters_.reset();
+    for (StatShard& s : stat_shards_) s.reset();
     pool_.reset_counters();
   }
 
-  /// Publish the core-owned counters into a RunStats snapshot.
+  /// Publish the core-owned counters, summed over the shards, into a
+  /// RunStats snapshot.
   void snapshot_core_stats(RunStats& out) const {
-    counters_.snapshot(out);
+    out = RunStats{};
+    for (const StatShard& s : stat_shards_) s.add_to(out);
     out.activations_pooled = pool_.pooled();
     out.activations_allocated = pool_.allocated();
   }
@@ -773,9 +821,9 @@ class ExecutorCore {
         if (home_d != dom) {
           machine().charge_remote(home_d, dom, static_cast<int64_t>(blk.byte_size()),
                                   topo.inter_kib_cost_ns * kb + topo.migration_cost_ns, cost);
-          counters_.remote_block_moves.fetch_add(1, std::memory_order_relaxed);
-          counters_.remote_bytes_pulled.fetch_add(blk.byte_size(),
-                                                  std::memory_order_relaxed);
+          StatShard& c = counters();
+          c.remote_block_moves.fetch_add(1, std::memory_order_relaxed);
+          c.remote_bytes_pulled.fetch_add(blk.byte_size(), std::memory_order_relaxed);
         } else if (home_w != worker && topo.intra_kib_cost_ns > 0) {
           machine().charge_remote(home_d, dom, static_cast<int64_t>(blk.byte_size()),
                                   topo.intra_kib_cost_ns * kb, cost);
@@ -829,7 +877,7 @@ class ExecutorCore {
         member != nullptr ? std::span<const ConsumeClass>()
                           : std::span<const ConsumeClass>(n.input_classes);
     pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
-    counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
+    counters().operator_invocations.fetch_add(1, std::memory_order_relaxed);
     const FaultPlan* plan = plan_.get();
     const uint64_t arrival = machine().op_arrival(def, op_index, plan != nullptr);
 
@@ -864,7 +912,7 @@ class ExecutorCore {
         fd = plan->decide(def.info.name, def.info.pure, act.seq,
                           member != nullptr ? member->orig_node : node, arrival, attempt);
         if (fd.action != FaultAction::kNone) {
-          counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+          counters().faults_injected.fetch_add(1, std::memory_order_relaxed);
         }
       }
       bool injected = false;
@@ -884,8 +932,11 @@ class ExecutorCore {
         // Cost and CoW stats come from the successful attempt only;
         // failed attempts contribute their backoff.
         machine().op_note_success(t0, def, op_index, arrival, cost);
-        counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
-        counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
+        if (ctx.cow_copies() != 0 || ctx.cow_skipped() != 0) {
+          StatShard& c = counters();
+          c.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
+          c.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
+        }
         if (fd.action == FaultAction::kCorrupt) {
           // Deterministically wrong-shaped result: consumers that
           // decompose it fault with exact provenance.
@@ -899,7 +950,7 @@ class ExecutorCore {
         machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd, op_index,
                                   attempt);
         if (attempt < static_cast<uint32_t>(budget)) {
-          counters_.retries.fetch_add(1, std::memory_order_relaxed);
+          counters().retries.fetch_add(1, std::memory_order_relaxed);
           machine().trace_from_core(worker, start + cost, TraceEventKind::kRetry, op_index,
                                     attempt + 1);
           const int shift = attempt < 20 ? static_cast<int>(attempt) : 20;
@@ -909,7 +960,7 @@ class ExecutorCore {
           args = std::move(restored);
           continue;
         }
-        if (budget > 0) counters_.retries_exhausted.fetch_add(1, std::memory_order_relaxed);
+        if (budget > 0) counters().retries_exhausted.fetch_add(1, std::memory_order_relaxed);
         FaultInfo f =
             member != nullptr
                 ? make_member_fault(act, *member, std::current_exception(), injected)
@@ -938,7 +989,7 @@ class ExecutorCore {
                      Ticks start) {
     Activation& act = *act_ptr;
     const Node& n = act.tmpl->nodes[node];
-    counters_.nodes_executed.fetch_add(1, std::memory_order_relaxed);
+    counters().nodes_executed.fetch_add(1, std::memory_order_relaxed);
 
     auto take_input = [&](uint16_t port) -> Value {
       return std::move(act.slots[n.input_offset + port]);
@@ -1146,9 +1197,11 @@ class ExecutorCore {
   /// to its destructor. It feeds the deadlock diagnostic, the watchdog
   /// and the budget dumps. Linking costs a shard lock and no
   /// allocation; an activation's destructor cannot unlink (and so
-  /// cannot free what a dump reads) while a dump holds its shard.
+  /// cannot free what a dump reads) while a dump holds its shard. Each
+  /// shard has a cache line to itself, so workers locking different
+  /// shards do not contend on one line.
   static constexpr size_t kLedgerShards = 16;
-  struct LedgerShard {
+  struct alignas(64) LedgerShard {
     std::mutex mu;
     Activation* head = nullptr;
   };
@@ -1222,7 +1275,8 @@ class ExecutorCore {
   /// freed (and unlinked) before either goes away.
   ActivationPool pool_;
   std::array<LedgerShard, kLedgerShards> ledger_;
-  StatCounters counters_;
+  /// Indexed by Machine::stat_shard_index(); sized by init_exec.
+  std::vector<StatShard> stat_shards_;
 
   // Per-run state. The program is carried per activation (Activation::prog),
   // so a batch of instances may span several compiled programs.

@@ -100,7 +100,7 @@ uint64_t InstanceManager::submit(InstanceRequest req) {
   }
   if (shed) {
     if (rt_ != nullptr) {
-      rt_->counters_.instances_shed.fetch_add(1, std::memory_order_relaxed);
+      rt_->counters().instances_shed.fetch_add(1, std::memory_order_relaxed);
     }
     return id;
   }
@@ -114,7 +114,7 @@ uint64_t InstanceManager::submit(InstanceRequest req) {
 }
 
 void InstanceManager::launch_threaded(Slot* slot, uint64_t id, InstanceRequest req) {
-  rt_->counters_.instances_admitted.fetch_add(1, std::memory_order_relaxed);
+  rt_->counters().instances_admitted.fetch_add(1, std::memory_order_relaxed);
   const InstanceBudget budget = effective_budget(req.budget);
   auto rs = std::make_unique<Runtime::RunState>();
   Runtime::RunState* prs = rs.get();
@@ -222,13 +222,13 @@ void InstanceManager::on_instance_drained(Runtime::RunState* rs) {
 
   switch (res.outcome) {
     case InstanceOutcome::kCompleted:
-      rt_->counters_.instances_completed.fetch_add(1, std::memory_order_relaxed);
+      rt_->counters().instances_completed.fetch_add(1, std::memory_order_relaxed);
       break;
     case InstanceOutcome::kBudgetExhausted:
-      rt_->counters_.instances_budget_killed.fetch_add(1, std::memory_order_relaxed);
+      rt_->counters().instances_budget_killed.fetch_add(1, std::memory_order_relaxed);
       break;
     default:
-      rt_->counters_.instances_faulted.fetch_add(1, std::memory_order_relaxed);
+      rt_->counters().instances_faulted.fetch_add(1, std::memory_order_relaxed);
       break;
   }
   {

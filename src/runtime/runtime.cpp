@@ -1,6 +1,7 @@
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <string_view>
@@ -29,7 +30,8 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
   if (n <= 0) n = 1;
   config_.num_workers = n;
   apply_exec_env_overrides(config_);
-  init_exec(&config_, n);
+  // One counter shard per worker plus one for threads outside the pool.
+  init_exec(&config_, n, n + 1);
   trace_enabled_ = config_.enable_tracing;
   if (trace_enabled_) {
     // One ring per worker plus one for the run's caller thread (root
@@ -43,7 +45,10 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
   for (auto& a : op_last_worker_) a.store(-1, std::memory_order_relaxed);
   op_arrivals_ = std::vector<std::atomic<uint64_t>>(registry.size());
   ws_.reserve(n);
-  for (int w = 0; w < n; ++w) ws_.push_back(std::make_unique<WsWorker>());
+  for (int w = 0; w < n; ++w) {
+    ws_.push_back(std::make_unique<WsWorker>());
+    ws_.back()->staged.reserve(kStagedReserve);
+  }
   workers_.reserve(n);
   for (int w = 0; w < n; ++w) workers_.emplace_back([this, w] { worker_loop(w); });
 }
@@ -78,8 +83,8 @@ void Runtime::trace_at(int64_t ts, int worker, TraceEventKind kind, int32_t op,
 }
 
 void Runtime::ws_flush_pending_trace(int worker) {
-  // Called between a successful pop and the item's outstanding decrement:
-  // the one window in which this worker may write its ring (tracing.h).
+  // Called between a successful pop and the item's end: the one window in
+  // which this worker may write its ring (tracing.h).
   WsWorker& w = *ws_[worker];
   if (w.pending_steal_fails > 0) {
     trace(worker, TraceEventKind::kStealFail, -1, w.pending_steal_fails);
@@ -101,7 +106,7 @@ void Runtime::ws_flush_pending_trace(int worker) {
 // ---------------------------------------------------------------------------
 
 void Runtime::record_fault(RunState* rs, FaultInfo f, int32_t op_index) {
-  counters_.faults_raised.fetch_add(1, std::memory_order_relaxed);
+  counters().faults_raised.fetch_add(1, std::memory_order_relaxed);
   if (trace_enabled_) {
     // Recorded by the faulting worker (in its safe window) or, never in
     // practice today, by the caller thread into the external ring.
@@ -157,7 +162,7 @@ std::string Runtime::dump_busy_workers() {
 }
 
 void Runtime::fire_watchdog(RunState* rs) {
-  counters_.watchdog_fires.fetch_add(1, std::memory_order_relaxed);
+  counters().watchdog_fires.fetch_add(1, std::memory_order_relaxed);
   // The caller thread owns the external ring, so this write is safe even
   // while workers are still draining their queues.
   trace(-1, TraceEventKind::kWatchdog, -1, rs->watchdog_budget_ns);
@@ -182,8 +187,20 @@ void Runtime::enqueue_ready(const std::shared_ptr<Activation>& act, uint32_t nod
   const Node& n = act->tmpl->nodes[node];
   const int priority = queue_level(n);
   const int target = affinity_preference(*act, n);
+  if (tls_runtime == this) {
+    // A worker enqueues only while it executes an item: stage the new
+    // item, and execute() publishes it when the item ends.
+    ws_[tls_worker]->staged.push_back(StagedItem{WorkItem{act, node}, priority, target});
+    return;
+  }
   static_cast<RunState*>(act->run)->outstanding.fetch_add(1, std::memory_order_acq_rel);
   ws_enqueue(WorkItem{act, node}, priority, target);
+}
+
+int Runtime::stat_shard_index() const {
+  // Workers count into their own shards; every other thread (the run's
+  // caller, instance submitters) shares the last one.
+  return tls_runtime == this ? tls_worker : num_workers_;
 }
 
 void Runtime::deliver_final(void* run, Value v, Ticks /*when*/) {
@@ -322,14 +339,17 @@ void Runtime::on_activation_created(Activation* act) {
 // parking worker's recheck observes the enqueued item.
 
 void Runtime::ws_enqueue(WorkItem item, int priority, int target) {
+  // The enqueue counters are bumped before the push: once the item is
+  // visible, it may carry the run's last unit of outstanding work, and a
+  // bump after that could land after the drain.
   const int self = (tls_runtime == this) ? tls_worker : -1;
   if (self >= 0 && (target < 0 || target == self)) {
+    counters().sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
     if (!ws_[self]->deques[priority].push(std::move(item))) {
       // Ring full: spill into the own inbox — unbounded, still popped by
       // this worker, so no work is ever dropped.
       ws_[self]->inbox[priority].push(std::move(item));
     }
-    counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (num_parked_.load(std::memory_order_relaxed) > 0) ws_wake_any_parked();
     return;
@@ -350,8 +370,8 @@ void Runtime::ws_enqueue(WorkItem item, int priority, int target) {
       }
     }
   }
+  counters().sched_injected_enqueues.fetch_add(1, std::memory_order_relaxed);
   ws_[dest]->inbox[priority].push(std::move(item));
-  counters_.sched_injected_enqueues.fetch_add(1, std::memory_order_relaxed);
   // A worker injecting is mid-execute (its safe window); anything else is
   // the run's caller, which records into the external ring.
   trace(self, TraceEventKind::kInject, -1, dest);
@@ -365,10 +385,12 @@ void Runtime::ws_wake(int worker) {
   // before every wait, and treats a claimed flag as a wakeup (see the
   // commit condition in worker_loop), so a claim is never lost.
   if (!ws_[worker]->parked.exchange(false, std::memory_order_seq_cst)) return;
-  counters_.sched_wakeups.fetch_add(1, std::memory_order_relaxed);
+  counters().sched_wakeups.fetch_add(1, std::memory_order_relaxed);
   if (trace_enabled_) {
     // Attributed to the waking thread's ring: enqueuing workers are in
-    // their safe window, everything else is the caller's external ring.
+    // their safe window (a traced item keeps its unit of outstanding
+    // work until after its last publication), everything else is the
+    // caller's external ring.
     const int self = (tls_runtime == this) ? tls_worker : -1;
     trace(self, TraceEventKind::kWake, -1, worker);
   }
@@ -420,8 +442,8 @@ bool Runtime::ws_try_pop(int worker, WorkItem& out) {
         const bool same = topo.domain_of(static_cast<int>(victim)) == my_domain;
         if (pass >= 0 && same != (pass == 0)) continue;
         if (ws_[victim]->deques[pri].steal(out)) {
-          counters_.sched_steals.fetch_add(1, std::memory_order_relaxed);
-          (same ? counters_.sched_local_steals : counters_.sched_remote_steals)
+          counters().sched_steals.fetch_add(1, std::memory_order_relaxed);
+          (same ? counters().sched_local_steals : counters().sched_remote_steals)
               .fetch_add(1, std::memory_order_relaxed);
           if (trace_enabled_) {
             // Holding the stolen item opens the safe window: flush what
@@ -441,7 +463,7 @@ bool Runtime::ws_try_pop(int worker, WorkItem& out) {
         if (steal_scan(pri, -1)) return true;
       }
     }
-    counters_.sched_failed_steals.fetch_add(1, std::memory_order_relaxed);
+    counters().sched_failed_steals.fetch_add(1, std::memory_order_relaxed);
     // A dry scan happens while holding no item — outside the safe window
     // — so it only bumps an owner-private counter, flushed at the next
     // successful pop (see tracing.h).
@@ -491,7 +513,7 @@ void Runtime::worker_loop(int worker) {
     // notify, and strand the item.
     if (!stopping_.load(std::memory_order_acquire) && !ws_has_work(worker) &&
         self.parked.load(std::memory_order_seq_cst)) {
-      counters_.sched_parks.fetch_add(1, std::memory_order_relaxed);
+      counters().sched_parks.fetch_add(1, std::memory_order_relaxed);
       if (trace_enabled_) {
         // Parked while holding no item — outside the ring's safe window.
         // Accumulate the interval owner-privately; the next successful
@@ -519,7 +541,7 @@ void Runtime::execute(const WorkItem& item, int worker) {
   const int32_t op_index = n.kind == NodeKind::kOperator ? n.op_index : -1;
   if (rs->cancelled.load(std::memory_order_acquire)) {
     // Cancelled (fail_fast fault or watchdog): discard instead of run.
-    counters_.items_purged.fetch_add(1, std::memory_order_relaxed);
+    counters().items_purged.fetch_add(1, std::memory_order_relaxed);
     trace(worker, TraceEventKind::kPurge, op_index);
   } else {
     try {
@@ -532,7 +554,31 @@ void Runtime::execute(const WorkItem& item, int worker) {
                    op_index);
     }
   }
-  if (rs->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  publish_staged(rs, worker);
+}
+
+void Runtime::publish_staged(RunState* rs, int worker) {
+  // The executing item holds one unit of the run's outstanding work and
+  // staged k new items, all of this run (children inherit the run
+  // token). Net the accounting: k - 1 more units, added before the first
+  // item becomes visible, so the count cannot reach zero while one is
+  // still staged. That is nothing for k = 1 — the unit passes to the
+  // child — and one decrement for k = 0. Once the last item is visible
+  // the run may drain and `rs` die, so nothing after it touches `rs`.
+  // With tracing on, the ring may still be written after a push
+  // (kInject, kWake), so the item keeps its own unit until the end and
+  // the window of tracing.h holds: add k, publish, subtract one.
+  std::vector<StagedItem>& staged = ws_[worker]->staged;
+  const int64_t k = static_cast<int64_t>(staged.size());
+  const bool hold_unit = trace_enabled_ || k == 0;
+  const int64_t add = hold_unit ? k : k - 1;
+  if (add > 0) rs->outstanding.fetch_add(add, std::memory_order_acq_rel);
+  for (StagedItem& s : staged) {
+    assert(s.item.act->run == rs);
+    ws_enqueue(std::move(s.item), s.priority, s.target);
+  }
+  staged.clear();
+  if (hold_unit && rs->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     if (rs->manager != nullptr) {
       // Manager mode: the drained instance is finalized inline on this
       // worker (outcome selection, latency, counters) — the submitting

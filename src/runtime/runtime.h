@@ -109,9 +109,10 @@ class Runtime : public ExecutorCore<Runtime> {
     bool watchdog_fired = false;     // caller thread only
     std::string watchdog_message;    // written before cancellation
     /// Queued + executing work items. The run is complete when this
-    /// drains to zero: every enqueue increments, every completed
-    /// execution decrements, and an executing item performs all of its
-    /// enqueues before its own decrement. Manager mode biases this by a
+    /// drains to zero. An enqueue from outside the pool adds one; an
+    /// executing item stages its k enqueues and settles them when it
+    /// ends with one net change of k - 1, made before the first of them
+    /// becomes visible (publish_staged). Manager mode biases this by a
     /// +1 submission token held across the root spawn, so a transient
     /// zero mid-spawn cannot finalize the instance early.
     std::atomic<int64_t> outstanding{0};
@@ -146,6 +147,16 @@ class Runtime : public ExecutorCore<Runtime> {
     std::shared_ptr<Activation> act;
     uint32_t node = 0;
   };
+  /// An enqueue made by an executing item, held until the item ends.
+  struct StagedItem {
+    WorkItem item;
+    int priority = 0;
+    int target = -1;
+  };
+  /// Initial capacity of each worker's staging buffer; it grows to the
+  /// largest fan-out seen and keeps that capacity, so the node path
+  /// does not allocate for it.
+  static constexpr size_t kStagedReserve = 64;
   struct WorkerData {
     // What the worker is executing right now, for the watchdog dump.
     // Maintained only when a watchdog budget is set.
@@ -173,6 +184,9 @@ class Runtime : public ExecutorCore<Runtime> {
     int64_t pending_park_ns = 0;    // total time slept since last flush
     int64_t pending_steal_fails = 0;
     bool has_pending_park = false;
+    // Owner-private: the enqueues of the item this worker is executing,
+    // published together when it ends (publish_staged).
+    std::vector<StagedItem> staged;
   };
 
   // -- MachineModel hooks (called by ExecutorCore; see executor_core.h) --
@@ -198,6 +212,7 @@ class Runtime : public ExecutorCore<Runtime> {
   int last_affinity_worker(int op_index);
   void note_affinity(int op_index, int worker);
   void on_activation_created(Activation* act);
+  int stat_shard_index() const;
 
   void worker_loop(int worker);
   void ws_enqueue(WorkItem item, int priority, int target);
@@ -206,6 +221,7 @@ class Runtime : public ExecutorCore<Runtime> {
   void ws_wake(int worker);    // notify one specific parked worker
   void ws_wake_any_parked();   // notify some parked worker, if any
   void execute(const WorkItem& item, int worker);
+  void publish_staged(RunState* rs, int worker);
 
   void reset_run_accumulators();
   void finish_run_bookkeeping();

@@ -307,7 +307,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   Impl(const OperatorRegistry& r, const SimConfig& c)
       : ExecutorCore<SimRuntime::Impl>(r), config(c) {
-    init_exec(&config, config.num_procs);
+    init_exec(&config, config.num_procs, 1);
     proc_avail.assign(config.num_procs, 0);
     proc_busy.assign(config.num_procs, 0);
     // Under a multi-domain topology with locality_scheduling the class
@@ -352,7 +352,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   void record_fault(SimInstance* si, FaultInfo f, Ticks ts = 0, int proc = -1,
                     int32_t op_index = -1) {
-    counters_.faults_raised.fetch_add(1, std::memory_order_relaxed);
+    counters().faults_raised.fetch_add(1, std::memory_order_relaxed);
     trace_event(ts, proc, TraceEventKind::kFaultRaise, op_index,
                 static_cast<int64_t>(f.seq));
     si->faults.push_back(std::move(f));
@@ -391,12 +391,15 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   Ticks node_base_cost() { return config.node_overhead_ns; }
 
+  // One thread, one counter shard: every RunStats value is exact here.
+  int stat_shard_index() const { return 0; }
+
   void enqueue_ready(const std::shared_ptr<Activation>& act, uint32_t node, Ticks when) {
     const Node& n = act->tmpl->nodes[node];
     // Mirror the threaded scheduler's counter schema: the simulator has
     // one virtual ready queue, so every enqueue is "local" and the
     // steal/park/wakeup counters stay zero.
-    counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
+    counters().sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
     const int level = queue_level(n);
     ready.push(act, node, when, level, affinity_preference(*act, n));
   }
@@ -459,7 +462,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     }
     measured = std::max<Ticks>(measured, 0);
     cost += measured;
-    counters_.operator_ticks.fetch_add(measured, std::memory_order_relaxed);
+    counters().operator_ticks.fetch_add(measured, std::memory_order_relaxed);
   }
 
   uint64_t op_arrival(const OperatorDef& def, int op_index, bool /*has_plan*/) {
@@ -539,7 +542,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
               return static_cast<SimInstance*>(it.act->run)->cancelled;
             },
             [this](const Queue::Item& it) {
-              counters_.items_purged.fetch_add(1, std::memory_order_relaxed);
+              counters().items_purged.fetch_add(1, std::memory_order_relaxed);
               if (tracing) {
                 const Node& n = it.act->tmpl->nodes[it.node];
                 trace_event(it.ready, -1, TraceEventKind::kPurge,
@@ -559,7 +562,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
       if (config.watchdog_budget_ns > 0 && !watchdog_fired &&
           start > config.watchdog_budget_ns) {
         watchdog_fired = true;
-        counters_.watchdog_fires.fetch_add(1, std::memory_order_relaxed);
+        counters().watchdog_fires.fetch_add(1, std::memory_order_relaxed);
         trace_event(config.watchdog_budget_ns, -1, TraceEventKind::kWatchdog, -1,
                     config.watchdog_budget_ns);
         watchdog_message =
@@ -647,7 +650,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
       si.arrival = req.arrival;
       si.max_activations = req.max_activations;
       si.time_budget_ns = req.time_budget_ns;
-      counters_.instances_admitted.fetch_add(1, std::memory_order_relaxed);
+      counters().instances_admitted.fetch_add(1, std::memory_order_relaxed);
       try {
         if (req.program == nullptr) throw RuntimeError("instance has no program");
         si.program_name = req.function.empty() ? req.program->entry_template().name
@@ -680,26 +683,26 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
       if (si.budget_fired) {
         o.budget_exceeded = true;
         o.message = si.budget_message;
-        counters_.instances_budget_killed.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_budget_killed.fetch_add(1, std::memory_order_relaxed);
       } else if (best >= 0) {
         o.have_fault = true;
         o.fault = std::move(si.faults[static_cast<size_t>(best)]);
         o.message = o.fault.render();
-        counters_.instances_faulted.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_faulted.fetch_add(1, std::memory_order_relaxed);
       } else if (!si.spawn_error.empty()) {
         o.message = si.spawn_error;
-        counters_.instances_faulted.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_faulted.fetch_add(1, std::memory_order_relaxed);
       } else if (si.have_result) {
         o.have_value = true;
         o.value = std::move(si.result);
-        counters_.instances_completed.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_completed.fetch_add(1, std::memory_order_relaxed);
       } else if (watchdog_fired) {
         o.message = watchdog_message;
-        counters_.instances_faulted.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_faulted.fetch_add(1, std::memory_order_relaxed);
       } else {
         o.message = build_deadlock_message(/*simulated=*/true,
                                            render_stranded(collect_stranded(&si)));
-        counters_.instances_faulted.fetch_add(1, std::memory_order_relaxed);
+        counters().instances_faulted.fetch_add(1, std::memory_order_relaxed);
       }
       out.makespan = std::max(out.makespan, o.finish);
     }

@@ -11,13 +11,21 @@
 // schema, so the same exporters serve both executors.
 //
 // Soundness of the lock-free design rests on one invariant: a ring is
-// written only (a) by its owning worker between popping a work item and
-// decrementing the run's outstanding counter, or (b) by the run's caller
-// thread, which is also the only reader and reads only after the drain
-// observed outstanding == 0. Events a worker would otherwise produce
-// while idle (park intervals, dry steal scans) are kept in worker-local
-// state and flushed at the next successful pop, which restores the
-// invariant without losing the data. See docs/OBSERVABILITY.md.
+// written only (a) by its owning worker while it holds a work item, from
+// the pop until the item's last publication or its decrement of the
+// run's outstanding counter, or (b) by the run's caller thread, which is
+// also the only reader and reads only after the drain observed
+// outstanding == 0. An executing item stages its enqueues and publishes
+// them when it ends; with tracing on it keeps its own unit of
+// outstanding work until after its last publication (add k, publish,
+// subtract one), so the ring writes a publication makes (kInject, kWake)
+// still precede a decrement. Each publication is a release that the
+// popping worker acquires, and each change of the counter is an acq_rel
+// RMW, so the chain from every ring write to the drain orders it before
+// the caller's read. Events a worker would otherwise produce while idle
+// (park intervals, dry steal scans) are kept in worker-local state and
+// flushed at the next successful pop, which restores the invariant
+// without losing the data. See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <array>

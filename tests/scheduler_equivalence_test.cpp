@@ -113,15 +113,62 @@ TEST(SchedulerStats, WorkStealingCountersAreCoherent) {
                        "  } while is_not_equal(i, package_size(p)), result acc\n"
                        "main() total(parmap(work, range(64)))\n",
                        *reg);
-  RuntimeConfig config;
-  config.num_workers = 4;
-  Runtime runtime(*reg, config);
-  runtime.run(program);
-  const RunStats& s = runtime.last_stats();
-  // Every scheduled node went through exactly one enqueue path.
-  EXPECT_EQ(s.sched_local_enqueues + s.sched_injected_enqueues, s.nodes_executed);
-  // The run begins with an injection from the caller thread.
-  EXPECT_GE(s.sched_injected_enqueues, 1u);
+  // Workers stage their enqueues and settle the run's outstanding count
+  // once per item, so a counter bumped after an item's last publication
+  // could land after the drain (missing from this run) or after the
+  // next run's reset (inflating it). Many back-to-back runs on one
+  // machine, traced and untraced, would catch either.
+  for (const bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "traced" : "untraced");
+    RuntimeConfig config;
+    config.num_workers = 4;
+    config.enable_tracing = tracing;
+    Runtime runtime(*reg, config);
+    RunStats first;
+    for (int run = 0; run < 200; ++run) {
+      ASSERT_EQ(runtime.run(program).as_int(), 85408);
+      const RunStats& s = runtime.last_stats();
+      if (run == 0) first = s;
+      // Every scheduled node went through exactly one enqueue path.
+      ASSERT_EQ(s.sched_local_enqueues + s.sched_injected_enqueues, s.nodes_executed)
+          << "run " << run;
+      // The graph-determined counters repeat exactly.
+      ASSERT_EQ(s.nodes_executed, first.nodes_executed) << "run " << run;
+      ASSERT_EQ(s.operator_invocations, first.operator_invocations) << "run " << run;
+      ASSERT_EQ(s.activations_created, first.activations_created) << "run " << run;
+      // The run begins with an injection from the caller thread.
+      ASSERT_GE(s.sched_injected_enqueues, 1u);
+    }
+  }
+}
+
+TEST(SchedulerStats, PeakLiveActivationsIsExactAtOneWorkerAndBoundedAbove) {
+  // The one-worker peak follows the schedule, so every knob that moves
+  // the graph or the pop order is cleared.
+  testing::ScopedEnv env(
+      {"DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES", "DELIRIUM_COST_HINTS",
+       "DELIRIUM_AFFINITY", "DELIRIUM_TOPOLOGY", "DELIRIUM_LOCALITY", "DELIRIUM_GRAPH_FACTS",
+       "DELIRIUM_SCHED_HINTS", "DELIRIUM_FACTS_DEADPARAM", "DELIRIUM_FACTS_FOLD",
+       "DELIRIUM_FACTS_FUSE", "DELIRIUM_FACTS_SOLE", "DELIRIUM_FACTS_STRAND",
+       "DELIRIUM_FACTS_TUPLES"});
+  auto reg = testing::builtin_registry();
+  const CompiledProgram program = compile_or_throw(
+      "fib(n) if less_than(n, 2) then n else add(fib(sub(n, 1)), fib(sub(n, 2)))\n"
+      "main() fib(20)\n",
+      *reg);
+  // One worker: the caller's shard holds the root, the worker's shard
+  // everything else, so the sum of shard peaks is the true peak — the
+  // value a single shared gauge reported (delc --run --workers 1 --stats).
+  Runtime one(*reg, RuntimeConfig{.num_workers = 1});
+  EXPECT_EQ(one.run(program).as_int(), 6765);
+  EXPECT_EQ(one.last_stats().peak_live_activations, 22u);
+  // More workers: an upper bound on the true peak, never above the
+  // number of activations created.
+  Runtime four(*reg, RuntimeConfig{.num_workers = 4});
+  EXPECT_EQ(four.run(program).as_int(), 6765);
+  const RunStats& s = four.last_stats();
+  EXPECT_GE(s.peak_live_activations, 1u);
+  EXPECT_LE(s.peak_live_activations, s.activations_created);
 }
 
 }  // namespace
